@@ -47,18 +47,17 @@ bench-churn:
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerWire' -benchtime=3x .
 
-# The query-path benchmark trajectory: the root churn + SearchBatch
-# worker-scaling + sharded insert/search benchmarks, the per-index
-# single-query benchmarks, and the end-to-end server wire benchmarks
-# (QPS/latency/recall per protocol mode), with allocation stats, written
-# to BENCH_query.json. The file is committed so future performance PRs diff
+# The query-path benchmark trajectory: the root churn + sharded
+# insert/search benchmarks, the per-index single-query benchmarks, and the
+# end-to-end server wire benchmarks (QPS/latency/recall per protocol
+# mode), with allocation stats, written to BENCH_query.json. The file is committed so future performance PRs diff
 # against a baseline; only regenerate it deliberately, on the baseline
 # machine.
 BENCH_JSON_OUT ?= BENCH_query.json
 
 bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
-	if ! $(GO) test -run '^$$' -bench 'SearchAfterDeletes|SearchBatchWorkers' -benchmem -benchtime=1x . > "$$tmp" 2>&1; \
+	if ! $(GO) test -run '^$$' -bench 'SearchAfterDeletes' -benchmem -benchtime=1x . > "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
 	if ! $(GO) test -run '^$$' -bench 'ShardedInsert' -benchmem -benchtime=100x . >> "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
@@ -100,18 +99,20 @@ bench-compare:
 
 # The allocation regression fence, run without -race and in strict mode:
 # a skipped or missing gate fails the build instead of passing silently.
-# Covers the zero-allocation index query path and the persistence gate
-# (durable collections must search with exactly the allocations of
-# memory-only ones).
+# Covers the zero-allocation index query path, the absolute
+# Collection.Search budget, and the persistence gate (durable collections
+# must search with exactly the allocations of memory-only ones).
 alloc-gate:
-	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -q TestAllocGateSearch \
-		|| { echo "alloc-gate tests missing from ./internal/index"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -q TestAllocGateSearchMultiInto \
+	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx TestAllocGateSearch \
+		|| { echo "single-query alloc-gate test missing from ./internal/index"; exit 1; }
+	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx TestAllocGateSearchMultiInto \
 		|| { echo "tiled multi-query alloc-gate test missing from ./internal/index"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -q TestAllocGatePersistentSearch \
+	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx TestAllocGatePersistentSearch \
 		|| { echo "alloc-gate tests missing from ./internal/vdms"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -q TestAllocGateShardedSearch \
+	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx TestAllocGateShardedSearch \
 		|| { echo "sharded alloc-gate test missing from ./internal/vdms"; exit 1; }
+	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx TestAllocGateCollectionSearch \
+		|| { echo "Collection.Search alloc-gate test missing from ./internal/vdms"; exit 1; }
 	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms
 
 # The online-reconfiguration gate, run explicitly (not just as part of

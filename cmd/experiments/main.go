@@ -1,5 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index).
+// evaluation (see the README section "Substitutions and the cost model"
+// for what the engine substitutes for the paper's testbed).
 //
 // Usage:
 //

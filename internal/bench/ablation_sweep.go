@@ -17,10 +17,9 @@ type AblationRow struct {
 	RecommendSeconds float64
 }
 
-// DesignAblations sweeps VDTuner's own hyperparameters — the design
-// choices DESIGN.md calls out beyond the paper's two ablations: abandon
-// window length, acquisition candidate budget, and exact vs Monte Carlo
-// EHVI. It reports final quality and recommendation overhead per variant.
+// DesignAblations sweeps VDTuner's own hyperparameters — design choices
+// beyond the paper's two ablations: abandon window length, acquisition
+// candidate budget, and exact vs Monte Carlo EHVI. It reports final quality and recommendation overhead per variant.
 func DesignAblations(w io.Writer, o Options) ([]AblationRow, error) {
 	ds, err := workload.Load(workload.GloVeLike(o.scale()))
 	if err != nil {

@@ -2,7 +2,9 @@
 // against the engine and regenerates every table and figure of the
 // paper's evaluation (§V). Each Figure*/Table* function prints the same
 // rows/series the paper reports and returns the underlying data for
-// programmatic checks. See DESIGN.md for the experiment index.
+// programmatic checks. cmd/experiments lists the experiments; the README
+// section "Substitutions and the cost model" says what the engine
+// substitutes for the paper's testbed.
 package bench
 
 import (

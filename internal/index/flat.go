@@ -25,8 +25,6 @@ func newFlat(m linalg.Metric, dim int) *flat {
 
 func (f *flat) Type() Type { return Flat }
 
-func (f *flat) pool() *scratchPool { return &f.scratch }
-
 func (f *flat) Build(store *linalg.Matrix, ids []int64) error {
 	if f.built {
 		return fmt.Errorf("flat: Build called twice")
@@ -46,43 +44,14 @@ func (f *flat) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (f *flat) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(f, q, k, p, st)
-}
-
-func (f *flat) searchWith(q []float32, k int, _ SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if f.store == nil || f.store.Rows() == 0 || k < 1 {
-		return dst
-	}
-	n := f.store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(f.metric, q, f.store.Data(), s.dists)
-	top := s.top.Reset(k)
-	for i, d := range s.dists {
-		top.Push(f.ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
-}
-
-// SearchInto offers every stored row directly to the collector: the
-// exhaustive scan needs no private top-k stage, so a capacity->=k collector
-// sees exactly the rows Search would rank, in the same (storage) order.
+// SearchInto offers every stored row directly to the collector, in storage
+// order: the exhaustive scan needs no private top-k stage.
 func (f *flat) SearchInto(q []float32, k int, _ SearchParams, st *Stats, top *linalg.TopK) {
 	if f.store == nil || f.store.Rows() == 0 || k < 1 {
 		return
 	}
 	s := f.scratch.get()
-	n := f.store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(f.metric, q, f.store.Data(), s.dists)
-	for i, d := range s.dists {
-		top.Push(f.ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
+	s.dists = ScanStoreInto(f.metric, q, f.store, f.ids, top, s.dists, st)
 	f.scratch.put(s)
 }
 
@@ -102,10 +71,6 @@ func (f *flat) SearchMultiInto(queries [][]float32, k int, _ SearchParams, st *S
 	f.scratch.put(s)
 }
 
-func (f *flat) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(f, queries, k, p, st)
-}
-
 func (f *flat) MemoryBytes() int64 {
 	if f.store == nil {
 		return 0
@@ -118,36 +83,15 @@ func (f *flat) BuildStats() Stats { return Stats{} }
 // StoreAdopted: flat retains the caller's arena as its only storage.
 func (f *flat) StoreAdopted() bool { return true }
 
-// scanPool serves ScanStore: the subset scans of growing/sealing segments
-// share one package-level scratch pool.
+// scanPool serves ScanStoreMultiInto: the subset scans of growing and
+// sealing segments share one package-level scratch pool.
 var scanPool scratchPool
 
-// ScanStore searches an explicit arena of vectors exhaustively; the store
-// must be packed (stride == dim). The engine uses it for growing
-// (unsealed) segment tails.
-func ScanStore(m linalg.Metric, q []float32, store *linalg.Matrix, ids []int64, k int, st *Stats) []linalg.Neighbor {
-	if store == nil || store.Rows() == 0 || k < 1 {
-		return nil
-	}
-	s := scanPool.get()
-	n := store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(m, q, store.Data(), s.dists)
-	top := s.top.Reset(k)
-	for i, d := range s.dists {
-		top.Push(ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	out := top.AppendResults(make([]linalg.Neighbor, 0, top.Len()))
-	scanPool.put(s)
-	return out
-}
-
-// ScanStoreInto is the collector-feeding variant of ScanStore: it pushes
-// every row of the arena into the caller-owned top and reuses dists as the
-// distance buffer (returned grown to the high-water mark). The engine's
-// scatter-gather path scans growing and sealing tails with it, so a shard
-// probe allocates nothing.
+// ScanStoreInto searches an explicit packed arena (stride == dim)
+// exhaustively: it pushes every row into the caller-owned top, in row
+// order, and reuses dists as the distance buffer (returned grown to the
+// high-water mark; nil is fine). The simulated engine scans its growing
+// tail with it; ScanStoreMultiInto is its multi-query form.
 func ScanStoreInto(m linalg.Metric, q []float32, store *linalg.Matrix, ids []int64, top *linalg.TopK, dists []float32, st *Stats) []float32 {
 	if store == nil || store.Rows() == 0 {
 		return dists
@@ -185,6 +129,10 @@ func ScanStoreMultiInto(m linalg.Metric, queries [][]float32, store *linalg.Matr
 // identical to the single-query scans.
 func scanArenaMulti(m linalg.Metric, queries [][]float32, store *linalg.Matrix, ids []int64, tops []*linalg.TopK, st *Stats, s *searchScratch) {
 	qn := len(queries)
+	if qn == 1 { // a tile of one takes the single-query scan
+		s.dists = ScanStoreInto(m, queries[0], store, ids, tops[0], s.dists, st)
+		return
+	}
 	n := store.Rows()
 	dim := store.Dim()
 	data := store.Data()

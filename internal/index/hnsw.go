@@ -432,10 +432,6 @@ func (h *hnsw) repairConnectivity() {
 	}
 }
 
-func (h *hnsw) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(h, q, k, p, st)
-}
-
 func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
 	if h.store == nil || h.store.Rows() == 0 || k < 1 || h.entry < 0 {
 		return dst
@@ -471,9 +467,6 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 		top.Push(h.ids[c.ID], c.Dist)
 	}
 	accumulate(st, work)
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
 	return top.AppendResults(dst)
 }
 
@@ -486,10 +479,6 @@ func (h *hnsw) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *li
 // multi-query kernels to amortize.
 func (h *hnsw) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	searchMultiSerial(h, queries, k, p, st, tops)
-}
-
-func (h *hnsw) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(h, queries, k, p, st)
 }
 
 func (h *hnsw) MemoryBytes() int64 {

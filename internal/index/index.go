@@ -13,7 +13,7 @@
 // computations, quantized-code computations, PQ table lookups) in a Stats
 // value. The vdms engine converts those counts into a deterministic
 // simulated latency, which is what makes tuning runs reproducible; see
-// DESIGN.md ("Substitutions").
+// the README section "Substitutions and the cost model".
 //
 // Angular metrics are handled upstream: the engine normalizes vectors and
 // builds indexes with the L2 metric, which ranks identically on unit
@@ -22,14 +22,15 @@
 // # Concurrency model
 //
 // Build parallelizes its training and encoding phases over
-// BuildParams.Workers goroutines, and SearchBatch fans a query batch over
-// SearchParams.Workers goroutines. Both are deterministic: parallel work
-// is chunked independently of the worker count and per-chunk results
+// BuildParams.Workers goroutines. It is deterministic: parallel work is
+// chunked independently of the worker count and per-chunk results
 // (including Stats) are reduced in chunk order, so workers=1 and
 // workers=N produce identical indexes, identical results, and identical
-// accounting — see the parallel package. A built index is immutable;
-// Search and SearchBatch are safe for arbitrary concurrent use. Build
-// itself is not reentrant (it may be called once, by one goroutine).
+// accounting — see the parallel package. A built index is immutable, and
+// its query methods are safe for arbitrary concurrent use; query-level
+// parallelism belongs to the engine, which fans (shard × query-tile)
+// probes over its own worker pool. Build itself is not reentrant (it may
+// be called once, by one goroutine).
 //
 // # Memory layout and the query path
 //
@@ -38,9 +39,9 @@
 // additionally groups rows cell-major, so each posting list is one
 // contiguous row range. All transient query state (visited sets, beams,
 // top-k heaps, ADC tables, probe orders) comes from a pooled searchScratch
-// (see scratch.go): steady-state Search performs zero heap allocations
-// beyond the caller-visible result slice, which the alloc-gate tests in
-// alloc_test.go enforce.
+// (see scratch.go): steady-state SearchInto and SearchMultiInto perform
+// zero heap allocations, which the alloc-gate tests in alloc_test.go
+// enforce.
 package index
 
 import (
@@ -134,10 +135,6 @@ type SearchParams struct {
 	// ReorderK is the number of quantized candidates re-ranked exactly
 	// (SCANN).
 	ReorderK int
-	// Workers is the fan-out of SearchBatch; <= 0 means one worker per
-	// CPU. Single-query Search ignores it. Results and Stats are
-	// identical for any value.
-	Workers int
 }
 
 // Stats counts the work performed by a build or a search. The engine turns
@@ -177,16 +174,12 @@ type Index interface {
 	// private storage). The engine uses it to account retained segment
 	// binlogs exactly once.
 	StoreAdopted() bool
-	// Search returns up to k nearest neighbors of q, accumulating the
-	// work performed into st (which may be nil).
-	Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor
-	// SearchInto offers the candidates Search(q, k, p, st) would return to
-	// the caller-owned collector instead of materializing a result slice
-	// (exhaustive indexes may offer every stored row). For a collector of
-	// capacity >= k the surviving set is exactly Search's result set, with
-	// the same first-offered-wins tie handling; the call performs no heap
-	// allocation at steady state. The engine's scatter-gather path uses it
-	// to merge per-segment and per-shard probes without per-probe slices.
+	// SearchInto offers candidates for the k nearest neighbors of q to
+	// the caller-owned collector, accumulating the work performed into st
+	// (which may be nil). Indexes with a private top-k stage offer their
+	// k best; exhaustive indexes may offer every stored row. A collector
+	// of capacity k retains the answer (see Search); the call performs no
+	// heap allocation at steady state.
 	SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK)
 	// SearchMultiInto answers queries[i] into collector tops[i]. For
 	// every i the offered candidate sequence — and therefore the
@@ -196,14 +189,11 @@ type Index interface {
 	// (FLAT, the IVF family's posting lists and coarse quantizer) share
 	// one streaming pass over each cache-resident row tile across the
 	// whole query tile (the multi-query blocked kernels in linalg);
-	// graph-traversal paths fall back to per-query probes.
+	// graph-traversal paths fall back to per-query probes. A tile of one
+	// takes the single-query route: at width one the tiled pass's setup
+	// (batched coarse assignment, cell inversion, row tiling) costs more
+	// than it shares.
 	SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK)
-	// SearchBatch answers queries[i] into result slot i, fanning the
-	// batch across p.Workers goroutines (built indexes are immutable, so
-	// concurrent probes are safe). Per-query work is accumulated into
-	// per-worker Stats and merged into st at the end, keeping the
-	// distance-comp accounting exactly equal to k sequential Searches.
-	SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor
 	// MemoryBytes reports the resident size of the built structure.
 	MemoryBytes() int64
 	// BuildStats reports the work performed by Build.
@@ -234,6 +224,18 @@ func New(t Type, m linalg.Metric, dim int, p BuildParams) (Index, error) {
 	default:
 		return nil, fmt.Errorf("index: unknown type %v", t)
 	}
+}
+
+// Search returns up to k nearest neighbors of q in x, sorted by ascending
+// distance, accumulating the work performed into st (which may be nil):
+// SearchInto into a fresh collector of capacity k.
+func Search(x Index, q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
+	if k < 1 {
+		return nil
+	}
+	top := linalg.NewTopK(k)
+	x.SearchInto(q, k, p, st, top)
+	return top.Results()
 }
 
 // accumulate adds o into st when st is non-nil.

@@ -343,10 +343,6 @@ func (x *ivfFlat) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (x *ivfFlat) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
 func (x *ivfFlat) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
 	if x.store == nil || x.store.Rows() == 0 || k < 1 {
 		return dst
@@ -367,9 +363,6 @@ func (x *ivfFlat) searchWith(q []float32, k int, p SearchParams, st *Stats, s *s
 		scanned += int64(hi - lo)
 	}
 	accumulate(st, Stats{DistComps: scanned})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
 	return top.AppendResults(dst)
 }
 
@@ -391,6 +384,10 @@ func (x *ivfFlat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top 
 func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
 	if x.store == nil || x.store.Rows() == 0 || k < 1 || qn == 0 {
+		return
+	}
+	if qn == 1 { // a tile of one takes the single-query scan
+		x.SearchInto(queries[0], k, p, st, tops[0])
 		return
 	}
 	s := x.scratch.get()
@@ -431,10 +428,6 @@ func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st
 		s.mqrows[j] = nil // don't pin caller query slices in the pool
 	}
 	x.scratch.put(s)
-}
-
-func (x *ivfFlat) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfFlat) MemoryBytes() int64 {

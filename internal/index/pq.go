@@ -145,10 +145,6 @@ func (x *ivfPQ) codeLen() int {
 	return len(x.codes16)
 }
 
-func (x *ivfPQ) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
 func (x *ivfPQ) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
 	if x.codeLen() == 0 || k < 1 {
 		return dst
@@ -196,9 +192,6 @@ func (x *ivfPQ) scanCells(q []float32, cells []int32, k int, st *Stats, s *searc
 		candidates += int64(hi - lo)
 	}
 	accumulate(st, Stats{Lookups: candidates * int64(m)})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
 	return top.AppendResults(dst)
 }
 
@@ -217,6 +210,10 @@ func (x *ivfPQ) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *l
 func (x *ivfPQ) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
 	if x.codeLen() == 0 || k < 1 || qn == 0 {
+		return
+	}
+	if qn == 1 { // a tile of one takes the single-query scan
+		x.SearchInto(queries[0], k, p, st, tops[0])
 		return
 	}
 	s := x.scratch.get()
@@ -277,10 +274,6 @@ func (x *ivfPQ) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 		s.mqrows[j] = nil // don't pin caller query slices in the pool
 	}
 	x.scratch.put(s)
-}
-
-func (x *ivfPQ) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfPQ) MemoryBytes() int64 {

@@ -54,10 +54,6 @@ func (x *scann) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (x *scann) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
 func (x *scann) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
 	if len(x.codes) == 0 || k < 1 {
 		return dst
@@ -104,9 +100,6 @@ func (x *scann) scanCells(q []float32, cells []int32, k int, p SearchParams, st 
 		top.Push(x.ids[int(c.ID)], s.dists[ci])
 	}
 	accumulate(st, Stats{DistComps: int64(len(s.neighbors))})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
 	return top.AppendResults(dst)
 }
 
@@ -138,6 +131,10 @@ func (x *scann) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *l
 func (x *scann) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
 	if len(x.codes) == 0 || k < 1 || qn == 0 {
+		return
+	}
+	if qn == 1 { // a tile of one takes the single-query scan
+		x.SearchInto(queries[0], k, p, st, tops[0])
 		return
 	}
 	reorder := p.ReorderK
@@ -219,10 +216,6 @@ func (x *scann) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 		s.mqrows[j] = nil // don't pin caller query slices in the pool
 	}
 	x.scratch.put(s)
-}
-
-func (x *scann) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *scann) MemoryBytes() int64 {

@@ -4,16 +4,14 @@ import (
 	"sync"
 
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 )
 
 // searchScratch is the reusable per-query working state of every index's
-// hot path. One scratch serves one query at a time; buffers grow to the
-// high-water mark of the queries they serve and are then reused, so a
-// steady-state Search performs no heap allocations beyond the
-// caller-visible result slice. Scratches are pooled per index (see
-// scratchPool) and threaded through SearchBatch's chunk workers, giving
-// each worker goroutine a private scratch for its whole run.
+// hot path. One scratch serves one probe at a time; buffers grow to the
+// high-water mark of the probes they serve and are then reused, so a
+// steady-state SearchInto or SearchMultiInto performs no heap allocations.
+// Scratches are pooled per index (see scratchPool) and checked out for the
+// duration of one call.
 type searchScratch struct {
 	// visited is the epoch-stamped visited set of the HNSW beam search:
 	// node i is visited this query iff visited[i] == epoch. Bumping epoch
@@ -128,8 +126,7 @@ func f32sBuf(buf [][]float32, n int) [][]float32 {
 
 // scratchPool pools searchScratch values for one index. The zero value is
 // ready to use. Get/Put of pointer values never allocate once the pool is
-// warm, so single-query Search is allocation-free at steady state and
-// SearchBatch checks out one scratch per worker.
+// warm, so the query paths are allocation-free at steady state.
 type scratchPool struct{ p sync.Pool }
 
 func (sp *scratchPool) get() *searchScratch {
@@ -141,24 +138,13 @@ func (sp *scratchPool) get() *searchScratch {
 
 func (sp *scratchPool) put(s *searchScratch) { sp.p.Put(s) }
 
-// searcher is the scratch-aware face every index implements: searchWith is
-// Search with all transient state drawn from s and the result appended to
-// dst (which may be nil; the caller-visible slice of Search is exactly one
-// append onto a nil dst).
+// searcher is the scratch-aware face of the indexes that rank through a
+// private top-k stage: searchWith answers one query with all transient
+// state drawn from s, appending its sorted top-k to dst.
 type searcher interface {
 	Index
 	pool() *scratchPool
 	searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor
-}
-
-// searchPooled implements Index.Search on top of searchWith: check a
-// scratch out of the index's pool for the duration of one query.
-func searchPooled(x searcher, q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	sp := x.pool()
-	s := sp.get()
-	res := x.searchWith(q, k, p, st, s, nil)
-	sp.put(s)
-	return res
 }
 
 // searchIntoPooled implements Index.SearchInto on top of searchWith: the
@@ -183,40 +169,4 @@ func searchMultiSerial(x Index, queries [][]float32, k int, p SearchParams, st *
 	for i, q := range queries {
 		x.SearchInto(q, k, p, st, tops[i])
 	}
-}
-
-// searchBatch is the shared SearchBatch implementation: every index type's
-// search is a read-only probe of an immutable built structure, so the batch
-// fans queries over a worker pool. Each worker goroutine owns one pooled
-// scratch for the whole batch, and each query charges its own private Stats
-// slot; the slots are merged in query order at the end, so the accumulated
-// counts are exactly those of sequential Searches (integer sums are
-// order-independent), regardless of worker count.
-func searchBatch(x searcher, queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	out := make([][]linalg.Neighbor, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	per := make([]Stats, len(queries))
-	sp := x.pool()
-	scratches := make([]*searchScratch, parallel.WorkerCount(p.Workers, len(queries)))
-	parallel.WorkerParallel(p.Workers, len(queries), func(w, qi int) {
-		s := scratches[w]
-		if s == nil {
-			s = sp.get()
-			scratches[w] = s
-		}
-		out[qi] = x.searchWith(queries[qi], k, p, &per[qi], s, nil)
-	})
-	for _, s := range scratches {
-		if s != nil {
-			sp.put(s)
-		}
-	}
-	if st != nil {
-		for i := range per {
-			st.Add(per[i])
-		}
-	}
-	return out
 }

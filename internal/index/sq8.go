@@ -165,10 +165,6 @@ func (x *ivfSQ8) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (x *ivfSQ8) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
 func (x *ivfSQ8) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
 	if len(x.codes) == 0 || k < 1 {
 		return dst
@@ -211,9 +207,6 @@ func (x *ivfSQ8) scanCells(q []float32, cells []int32, k int, st *Stats, s *sear
 		scanned += int64(hi - lo)
 	}
 	accumulate(st, Stats{CodeComps: scanned})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
 	return top.AppendResults(dst)
 }
 
@@ -230,6 +223,10 @@ func (x *ivfSQ8) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *
 func (x *ivfSQ8) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
 	if len(x.codes) == 0 || k < 1 || qn == 0 {
+		return
+	}
+	if qn == 1 { // a tile of one takes the single-query scan
+		x.SearchInto(queries[0], k, p, st, tops[0])
 		return
 	}
 	s := x.scratch.get()
@@ -282,10 +279,6 @@ func (x *ivfSQ8) SearchMultiInto(queries [][]float32, k int, p SearchParams, st 
 		s.mqrows[j] = nil // don't pin caller query slices in the pool
 	}
 	x.scratch.put(s)
-}
-
-func (x *ivfSQ8) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfSQ8) MemoryBytes() int64 {

@@ -153,3 +153,69 @@ func TestAllocGateShardedSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocGateCollectionSearch is the absolute budget of one
+// Collection.Search on a warm collection: the caller-visible result slice
+// and nothing else on one shard; at most one more with several shards (a
+// fixed router constant); and one more in either case for an angular
+// collection, whose query is normalized on a private copy. Parallelism is
+// pinned to 1 so worker-goroutine spawns stay out of the counts. Sealed
+// segments and a growing tail are both probed.
+func TestAllocGateCollectionSearch(t *testing.T) {
+	strict := os.Getenv("ALLOC_GATE_STRICT") != ""
+	if raceEnabled {
+		if strict {
+			t.Fatal("alloc-gate tests cannot run under -race, but ALLOC_GATE_STRICT is set; run them without -race")
+		}
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const dim, n, tail, k = 16, 800, 7, 10
+	vecs := randVecs(n+tail, dim, 106)
+	q := randVecs(1, dim, 107)[0]
+	for _, typ := range []index.Type{index.HNSW, index.IVFSQ8, index.Flat} {
+		for _, m := range []linalg.Metric{linalg.L2, linalg.Angular} {
+			for _, shards := range []int{1, 4} {
+				budget := 1.0
+				if shards > 1 {
+					budget++
+				}
+				if m == linalg.Angular {
+					budget++
+				}
+				cfg := DefaultConfig()
+				cfg.IndexType = typ
+				cfg.Parallelism = 1
+				cfg.ShardCount = shards
+				cfg.SegmentMaxSize = 100
+				cfg.SealProportion = 0.8
+				c, err := NewCollection(cfg, m, dim, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Insert(vecs[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Insert(vecs[n:]); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 10; i++ {
+					if _, err := c.Search(q, k, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := testing.AllocsPerRun(200, func() {
+					if _, err := c.Search(q, k, nil); err != nil {
+						t.Fatal(err)
+					}
+				})
+				c.Close()
+				if got > budget {
+					t.Errorf("%v %v shards=%d: Search allocates %.1f/op, budget %.0f", typ, m, shards, got, budget)
+				}
+			}
+		}
+	}
+}

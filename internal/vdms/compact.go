@@ -130,11 +130,7 @@ func buildCompacted(cfg Config, metric linalg.Metric, dim int, in compactInput, 
 	if len(in.ids) == 0 {
 		return nil, nil
 	}
-	m := metric
-	if m == linalg.Angular {
-		m = linalg.L2 // inputs were normalized on insert
-	}
-	idx, err := newSegmentIndex(cfg, m, dim, seq)
+	idx, err := newSegmentIndex(cfg, indexMetric(metric), dim, seq)
 	if err == nil {
 		err = idx.Build(in.store, in.ids)
 	}

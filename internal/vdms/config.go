@@ -18,7 +18,8 @@
 // compactor parallelism), two durability parameters (WAL fsync policy,
 // group-commit batch; see package persist), and the shard count, and
 // reports deterministic simulated performance derived from the real work
-// its index structures perform; see DESIGN.md "Substitutions".
+// its index structures perform; see the README section "Substitutions and
+// the cost model".
 package vdms
 
 import (

@@ -4,9 +4,10 @@ import "vdtuner/internal/index"
 
 // The simulated clock. Every index operation reports work counts
 // (index.Stats); this file converts work into deterministic nanoseconds.
-// Constants are calibrated so that a mid-sized configuration lands in the
+// Constants are hand-set so that a mid-sized configuration lands in the
 // latency/QPS regime the paper reports, but only the *relative* shape of
-// the surface matters for tuning; see DESIGN.md.
+// the surface matters for tuning; see the README section "Substitutions
+// and the cost model".
 const (
 	// nsPerFullDim is the cost of one dimension of a full-precision
 	// distance computation (inflated relative to real silicon so that

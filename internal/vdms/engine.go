@@ -5,7 +5,6 @@ import (
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 	"vdtuner/internal/workload"
 )
 
@@ -186,10 +185,12 @@ func (in *Instance) BuildSeconds() float64 { return in.buildSeconds }
 func (in *Instance) Search(q []float32, k int, st *index.Stats) []linalg.Neighbor {
 	lists := make([][]linalg.Neighbor, 0, in.segments)
 	for _, idx := range in.sealed {
-		lists = append(lists, idx.Search(q, k, in.cfg.Search, st))
+		lists = append(lists, index.Search(idx, q, k, in.cfg.Search, st))
 	}
 	if in.growing.Rows() > 0 {
-		lists = append(lists, index.ScanStore(in.ds.Metric, q, in.growing, in.growingIDs, k, st))
+		top := linalg.NewTopK(k)
+		index.ScanStoreInto(in.ds.Metric, q, in.growing, in.growingIDs, top, nil, st)
+		lists = append(lists, top.Results())
 	}
 	if st != nil && in.extraScanRows > 0 {
 		// Insert-buffer scan: duplicates recent rows, so it costs work
@@ -197,26 +198,4 @@ func (in *Instance) Search(q []float32, k int, st *index.Stats) []linalg.Neighbo
 		st.Add(index.Stats{DistComps: in.extraScanRows})
 	}
 	return linalg.MergeNeighbors(k, lists...)
-}
-
-// SearchBatch answers queries[i] into result slot i, fanning the batch
-// across the configured queryNode parallelism. Instances are immutable
-// after Open, so the fan-out needs no locking; per-query Stats are merged
-// into st in query order, keeping accounting identical to sequential
-// Search calls.
-func (in *Instance) SearchBatch(queries [][]float32, k int, st *index.Stats) [][]linalg.Neighbor {
-	out := make([][]linalg.Neighbor, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	per := make([]index.Stats, len(queries))
-	parallel.Parallel(in.cfg.Parallelism, len(queries), func(qi int) {
-		out[qi] = in.Search(queries[qi], k, &per[qi])
-	})
-	if st != nil {
-		for i := range per {
-			st.Add(per[i])
-		}
-	}
-	return out
 }

@@ -351,54 +351,35 @@ func mergeShardRow(g *gatherScratch, mt *linalg.TopK, qi, q, s, k int) []linalg.
 	return top.AppendResults(make([]linalg.Neighbor, 0, top.Len()))
 }
 
-// searchOneLocked answers one already-normalized query: the per-shard
-// probes scatter over the worker pool (each shard's top-k lands in its
-// grid cell) and the cells merge in fixed shard order. With one shard the
-// router adds nothing — the shard's list is copied out as the result,
-// bit-identical to the pre-sharding engine. Callers hold every shard's
-// read lock.
-func (c *Collection) searchOneLocked(qq []float32, m linalg.Metric, k int, st *index.Stats) []linalg.Neighbor {
-	s := len(c.shards)
-	if s == 1 {
-		g := c.getGather(1, 1, k, 1, 1)
-		res := c.shards[0].searchLocked(qq, m, k, st, &g.probes[0])
-		out := make([]linalg.Neighbor, len(res))
-		copy(out, res)
-		c.putGather(g)
-		return out
-	}
-	workers := parallel.WorkerCount(c.readWorkers(), s)
-	g := c.getGather(1, s, k, workers, 1)
-	parallel.WorkerParallel(workers, s, func(w, si int) {
-		res := c.shards[si].searchLocked(qq, m, k, &g.stats[si], &g.probes[w])
-		base := si * k
-		g.cellLen[si] = int32(copy(g.cells[base:base+k], res))
-	})
-	out := mergeShardRow(g, &g.probes[0].top, 0, 1, s, k)
-	if st != nil {
-		for i := range g.stats {
-			st.Add(g.stats[i])
-		}
-	}
-	c.putGather(g)
-	return out
-}
-
-// normalizeQuery prepares a query for the metric: angular queries are
-// normalized on a private copy and searched under L2 (inputs were
-// normalized on insert).
-func (c *Collection) normalizeQuery(q []float32) ([]float32, linalg.Metric) {
+// normalizeQuery prepares a query for the search: angular queries are
+// normalized on a private copy (inputs were normalized on insert) and
+// ranked under indexMetric's L2; other metrics search q as given.
+func (c *Collection) normalizeQuery(q []float32) []float32 {
 	if c.metric != linalg.Angular {
-		return q, c.metric
+		return q
 	}
 	qq := linalg.Clone(q)
 	linalg.Normalize(qq)
-	return qq, linalg.L2
+	return qq
+}
+
+// indexMetric is the metric that segment indexes and exact scans rank
+// under for a collection metric: angular rows are unit-normalized on
+// insert (and queries before search), and L2 ranks unit vectors exactly
+// as angular distance does.
+func indexMetric(m linalg.Metric) linalg.Metric {
+	if m == linalg.Angular {
+		return linalg.L2
+	}
+	return m
 }
 
 // Search returns the k nearest neighbors of q across every shard and
 // every segment state: indexed sealed segments, in-flight sealing
-// segments (scanned exactly), and the growing tails. st may be nil.
+// segments (scanned exactly), and the growing tails. It is SearchBatch's
+// grid with a query tile of one — the tile and result slot live in the
+// pooled gather scratch, so the only allocation is the returned slice
+// (plus the normalized copy of an angular query). st may be nil.
 func (c *Collection) Search(q []float32, k int, st *index.Stats) ([]linalg.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vdms: k must be >= 1, got %d", k)
@@ -406,7 +387,7 @@ func (c *Collection) Search(q []float32, k int, st *index.Stats) ([]linalg.Neigh
 	if len(q) != c.dim {
 		return nil, fmt.Errorf("vdms: query has dim %d, want %d", len(q), c.dim)
 	}
-	qq, m := c.normalizeQuery(q)
+	qq := c.normalizeQuery(q)
 	if c.closed.Load() {
 		return nil, fmt.Errorf("vdms: collection closed")
 	}
@@ -414,18 +395,23 @@ func (c *Collection) Search(q []float32, k int, st *index.Stats) ([]linalg.Neigh
 	defer c.router.RUnlock()
 	c.rlockAll()
 	defer c.runlockAll()
-	return c.searchOneLocked(qq, m, k, st), nil
+	g := c.getGather()
+	g.one[0] = qq
+	c.searchLocked(g, g.one[:], k, st, g.oneOut[:])
+	res := g.oneOut[0]
+	c.putGather(g)
+	return res, nil
 }
 
 // queryTileSize picks the multi-query tile width for a batch of q queries
-// over s shards: wide enough that one cache-resident row tile amortizes
+// over s shards on w workers: wide enough that one cache-resident row tile amortizes
 // across many queries, small enough that the query block itself stays
 // L1-resident next to the row tile (~8KB of query data), and small enough
 // that the (shard × tile) grid still has at least one cell per worker so
 // the fan-out keeps the pool busy. Tile boundaries never affect results:
 // each query's candidate sequence is tile-invariant, so any width yields
 // bit-identical per-query output.
-func (c *Collection) queryTileSize(q, s int) int {
+func (c *Collection) queryTileSize(q, s, w int) int {
 	t := 8192 / (4 * c.dim)
 	if t < 4 {
 		t = 4
@@ -433,7 +419,7 @@ func (c *Collection) queryTileSize(q, s int) int {
 	if t > 64 {
 		t = 64
 	}
-	if w := c.readWorkers(); w > 1 {
+	if w > 1 {
 		if maxT := (q*s + w - 1) / w; maxT < t {
 			t = maxT
 		}
@@ -472,15 +458,12 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 			return nil, fmt.Errorf("vdms: query %d has dim %d, want %d", i, len(q), c.dim)
 		}
 	}
-	m := c.metric
 	qs := queries
-	if m == linalg.Angular {
+	if c.metric == linalg.Angular {
 		qs = make([][]float32, len(queries))
 		for i, q := range queries {
-			qs[i] = linalg.Clone(q)
-			linalg.Normalize(qs[i])
+			qs[i] = c.normalizeQuery(q)
 		}
-		m = linalg.L2
 	}
 	if c.closed.Load() {
 		return nil, fmt.Errorf("vdms: collection closed")
@@ -490,55 +473,73 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 	c.rlockAll()
 	defer c.runlockAll()
 	out := make([][]linalg.Neighbor, len(qs))
-	if len(qs) == 0 {
-		return out, nil
-	}
+	g := c.getGather()
+	c.searchLocked(g, qs, k, st, out)
+	c.putGather(g)
+	return out, nil
+}
+
+// searchLocked runs the (shard × query-tile) probe grid for
+// already-normalized queries, writing query i's result to out[i]. Callers
+// hold every shard's read lock and own g for the call.
+func (c *Collection) searchLocked(g *gatherScratch, qs [][]float32, k int, st *index.Stats, out [][]linalg.Neighbor) {
 	q, s := len(qs), len(c.shards)
-	tile := c.queryTileSize(q, s)
+	if q == 0 {
+		return
+	}
+	w := c.readWorkers()
+	tile := c.queryTileSize(q, s, w)
 	tiles := (q + tile - 1) / tile
 	cells := s * tiles
-	workers := parallel.WorkerCount(c.readWorkers(), cells)
-	g := c.getGather(q, s, k, workers, tiles)
-	parallel.WorkerParallel(workers, cells, func(w, cell int) {
-		si, ti := cell/tiles, cell%tiles // shard-major: all tiles probe si in a run
-		lo := ti * tile
-		hi := lo + tile
-		if hi > q {
-			hi = q
-		}
-		ps := &g.probes[w]
-		res := c.shards[si].searchMultiLocked(qs[lo:hi], m, k, &g.stats[cell], ps)
-		if s == 1 {
-			for i, r := range res {
-				buf := make([]linalg.Neighbor, len(r))
-				copy(buf, r)
-				out[lo+i] = buf
-			}
-			return
-		}
-		for i, r := range res {
-			gcell := si*q + lo + i
-			base := gcell * k
-			g.cellLen[gcell] = int32(copy(g.cells[base:base+k], r))
-		}
-		if g.pending[ti].Add(-1) != 0 {
-			return
-		}
-		// Last probe in: this tile's query rows are complete, merge them
-		// now. The atomic counter orders the merge after every
-		// contributing cell write, and fixed shard order keeps the result
-		// independent of which worker got here.
-		for qi := lo; qi < hi; qi++ {
-			out[qi] = mergeShardRow(g, &ps.top, qi, q, s, k)
-		}
-	})
+	workers := parallel.WorkerCount(w, cells)
+	g.reset(c.shards, qs, out, k, tile, workers)
+	parallel.WorkerParallel(workers, cells, g.probe)
 	if st != nil {
 		for i := range g.stats {
 			st.Add(g.stats[i])
 		}
 	}
-	c.putGather(g)
-	return out, nil
+}
+
+// probeCell is one grid cell: worker w probes shard si with query tile ti
+// and lands each query's shard top-k in its grid cell. With one shard the
+// router adds nothing — the shard's rows are copied out as the results.
+// Otherwise the worker that finishes a tile's last shard merges that
+// tile's query rows, in fixed shard order.
+func (g *gatherScratch) probeCell(w, cell int) {
+	q, s := len(g.qs), len(g.shards)
+	si, ti := cell/g.tiles, cell%g.tiles // shard-major: all tiles probe si in a run
+	lo := ti * g.tile
+	hi := lo + g.tile
+	if hi > q {
+		hi = q
+	}
+	ps := &g.probes[w]
+	res := g.shards[si].searchLocked(g.qs[lo:hi], g.k, &g.stats[cell], ps)
+	if s == 1 {
+		for i, r := range res {
+			buf := make([]linalg.Neighbor, len(r))
+			copy(buf, r)
+			g.out[lo+i] = buf
+		}
+		return
+	}
+	for i, r := range res {
+		gcell := si*q + lo + i
+		base := gcell * g.k
+		g.cellLen[gcell] = int32(copy(g.cells[base:base+g.k], r))
+	}
+	if g.pending[ti].Add(-1) != 0 {
+		return
+	}
+	// Last probe in: this tile's query rows are complete, merge them
+	// now. The atomic counter orders the merge after every contributing
+	// cell write, and fixed shard order keeps the result independent of
+	// which worker got here. The probe's collectors are drained by now,
+	// so the first one serves as the merge collector.
+	for qi := lo; qi < hi; qi++ {
+		g.out[qi] = mergeShardRow(g, &ps.tops[0], qi, q, s, g.k)
+	}
 }
 
 // ShardStats is one shard's slice of a CollectionStats snapshot. The

@@ -253,33 +253,6 @@ func TestCollectionMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-func TestMeasureWallClock(t *testing.T) {
-	ds, err := workload.Load(workload.Spec{
-		Name: "wallclock", N: 800, NQ: 20, Dim: 16, K: 5,
-		Clusters: 8, ClusterStd: 0.5, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := liveConfig()
-	res, err := MeasureWallClock(ds, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QPS <= 0 {
-		t.Fatalf("wall-clock QPS = %v", res.QPS)
-	}
-	if res.Recall <= 0 || res.Recall > 1 {
-		t.Fatalf("wall-clock recall = %v", res.Recall)
-	}
-	if res.P99 < res.P50 {
-		t.Fatalf("P99 %v below P50 %v", res.P99, res.P50)
-	}
-	if res.Queries != 40 {
-		t.Fatalf("served %d queries, want 40", res.Queries)
-	}
-}
-
 func TestDeleteFromGrowing(t *testing.T) {
 	coll, err := NewCollection(liveConfig(), linalg.L2, 8, 10000)
 	if err != nil {

@@ -252,11 +252,7 @@ func (s *shard) applyWALOp(op *persist.WALOp) error {
 // tombstoned ones, whose tombstones are then garbage) and the error is
 // recorded.
 func (s *shard) landSegment(store *linalg.Matrix, ids []int64, seq int64) {
-	m := s.metric
-	if m == linalg.Angular {
-		m = linalg.L2 // inputs were normalized on insert
-	}
-	idx, err := newSegmentIndex(*s.config(), m, s.dim, seq)
+	idx, err := newSegmentIndex(*s.config(), indexMetric(s.metric), s.dim, seq)
 	if err == nil {
 		err = idx.Build(store, ids)
 	}

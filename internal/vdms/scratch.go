@@ -7,54 +7,47 @@ import (
 	"vdtuner/internal/linalg"
 )
 
-// probeScratch is one scatter-gather worker's reusable state for probing a
-// single shard: the shard-level top-k collector every segment feeds, the
-// distance buffer of the exact tail scans, and the buffer the sorted probe
-// result lands in. One worker owns one probeScratch for a whole fan-out,
-// so a steady-state shard probe allocates nothing; the result slice a
-// probe returns aliases ps.out and must be consumed (copied into the grid
-// or the caller-visible slice) before the worker's next probe.
+// probeScratch is one scatter-gather worker's reusable state for probing
+// a single shard with a query tile (shard.searchLocked): per-query
+// shard-level collectors (tops values own the warmed heap arrays, topPtr is
+// the view the Index.SearchMultiInto contract wants), the flat arena the
+// drained results land in, and the per-query views into it. One worker
+// owns one probeScratch for a whole fan-out and probes one (shard ×
+// query-tile) cell at a time, so a steady-state probe allocates nothing;
+// the rows a probe returns alias outBuf and must be consumed (copied into
+// the grid or the caller-visible slices) before the worker's next probe.
 type probeScratch struct {
-	top   linalg.TopK
-	dists []float32
-	out   []linalg.Neighbor
-	// Multi-query tile state (searchMultiLocked): per-query shard-level
-	// collectors (mtops values own the warmed heap arrays, mtopPtr is the
-	// view the Index.SearchMultiInto contract wants), the flat arena the
-	// drained results land in, and the per-query views into it. One worker
-	// probes one (shard × query-tile) cell at a time, so the whole tile
-	// shares this one scratch.
-	mtops   []linalg.TopK
-	mtopPtr []*linalg.TopK
-	moutBuf []linalg.Neighbor
-	mouts   [][]linalg.Neighbor
+	tops   []linalg.TopK
+	topPtr []*linalg.TopK
+	outBuf []linalg.Neighbor
+	outs   [][]linalg.Neighbor
 }
 
-// ensureMulti sizes the multi-query tile state for a qn-query tile at
-// fetch results per query, keeping every warmed buffer.
-func (ps *probeScratch) ensureMulti(qn, fetch int) {
-	if qn > len(ps.mtops) {
-		mtops := make([]linalg.TopK, qn)
-		copy(mtops, ps.mtops) // keep the warmed heap arrays
-		ps.mtops = mtops
+// ensure sizes the tile state for a qn-query tile at fetch results per
+// query, keeping every warmed buffer.
+func (ps *probeScratch) ensure(qn, fetch int) {
+	if qn > len(ps.tops) {
+		tops := make([]linalg.TopK, qn)
+		copy(tops, ps.tops) // keep the warmed heap arrays
+		ps.tops = tops
 	}
-	if qn > cap(ps.mtopPtr) {
-		ps.mtopPtr = make([]*linalg.TopK, qn)
-		ps.mouts = make([][]linalg.Neighbor, qn)
+	if qn > cap(ps.topPtr) {
+		ps.topPtr = make([]*linalg.TopK, qn)
+		ps.outs = make([][]linalg.Neighbor, qn)
 	}
-	ps.mtopPtr = ps.mtopPtr[:qn]
-	ps.mouts = ps.mouts[:qn]
-	if cap(ps.moutBuf) < qn*fetch {
-		ps.moutBuf = make([]linalg.Neighbor, qn*fetch)
+	ps.topPtr = ps.topPtr[:qn]
+	ps.outs = ps.outs[:qn]
+	if cap(ps.outBuf) < qn*fetch {
+		ps.outBuf = make([]linalg.Neighbor, qn*fetch)
 	}
 }
 
-// gatherScratch is the working set of one scatter-gather call (Search or
+// gatherScratch is the working set of one search grid (Search or
 // SearchBatch): per-worker probe scratches, the (query × shard) result
-// grid, per-cell stats slots, and the per-query completion counters that
-// drive the pipelined merge. It is pooled on the Collection; all buffers
-// grow to the high-water mark and are then reused, so the sharded read
-// path re-enters the alloc gate.
+// grid, per-cell stats slots, the per-tile completion counters that drive
+// the pipelined merge, and the call's grid parameters. It is pooled on
+// the Collection; all buffers grow to the high-water mark and are then
+// reused, so the sharded read path re-enters the alloc gate.
 type gatherScratch struct {
 	// probes[w] is worker w's private probe state.
 	probes []probeScratch
@@ -72,19 +65,42 @@ type gatherScratch struct {
 	// tile; the atomic ops order that merge after every contributing
 	// write.
 	pending []atomic.Int32
+
+	// The call's grid: the shards probed, the normalized queries, the
+	// caller's result slots, and the tiling. Set by reset, cleared by
+	// putGather so a pooled scratch pins no caller data.
+	shards      []*shard
+	qs          [][]float32
+	out         [][]linalg.Neighbor
+	k           int
+	tile, tiles int
+	// probe is probeCell bound to this scratch once, at construction:
+	// handing the same func value to every fan-out keeps a one-worker
+	// grid (Search at Parallelism 1) free of a per-call closure.
+	probe func(w, cell int)
+	// one and oneOut are Search's query tile of one and its result slot.
+	one    [1][]float32
+	oneOut [1][]linalg.Neighbor
 }
 
-// getGather checks a gather scratch out of the pool, sized for a q-query ×
-// s-shard grid at k results per cell on the given worker count, with the
-// queries grouped into `tiles` probe tiles (tiles == q means one query per
-// work cell, the pre-tiling layout). Stats slots are zeroed and pending
-// counters armed per tile; the result grid needs no clearing (cellLen
-// gates every read).
-func (c *Collection) getGather(q, s, k, workers, tiles int) *gatherScratch {
+// getGather checks a gather scratch out of the pool; reset sizes it.
+func (c *Collection) getGather() *gatherScratch {
 	g, _ := c.gatherPool.Get().(*gatherScratch)
 	if g == nil {
 		g = &gatherScratch{}
+		g.probe = g.probeCell
 	}
+	return g
+}
+
+// reset arms g for one grid: len(qs) queries over len(shards) shards at
+// k results per cell, grouped into query tiles of width tile, on the
+// given worker count. Stats slots are zeroed and pending counters armed
+// per tile; the result grid needs no clearing (cellLen gates every read).
+func (g *gatherScratch) reset(shards []*shard, qs [][]float32, out [][]linalg.Neighbor, k, tile, workers int) {
+	q, s := len(qs), len(shards)
+	g.shards, g.qs, g.out, g.k, g.tile = shards, qs, out, k, tile
+	g.tiles = (q + tile - 1) / tile
 	if workers > len(g.probes) {
 		probes := make([]probeScratch, workers)
 		copy(probes, g.probes) // keep the warmed buffers
@@ -106,17 +122,20 @@ func (c *Collection) getGather(q, s, k, workers, tiles int) *gatherScratch {
 	for i := range g.stats {
 		g.stats[i] = index.Stats{}
 	}
-	if cap(g.pending) < tiles {
-		g.pending = make([]atomic.Int32, tiles)
+	if cap(g.pending) < g.tiles {
+		g.pending = make([]atomic.Int32, g.tiles)
 	}
-	g.pending = g.pending[:tiles]
+	g.pending = g.pending[:g.tiles]
 	for i := range g.pending {
 		g.pending[i].Store(int32(s))
 	}
-	return g
 }
 
-func (c *Collection) putGather(g *gatherScratch) { c.gatherPool.Put(g) }
+func (c *Collection) putGather(g *gatherScratch) {
+	g.shards, g.qs, g.out = nil, nil, nil
+	g.one[0], g.oneOut[0] = nil, nil
+	c.gatherPool.Put(g)
+}
 
 // insertScratch is the pooled partition state of a routed Insert: the
 // routing pass (owner, counts, cursors) and the per-shard sub-batch views

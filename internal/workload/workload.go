@@ -4,7 +4,8 @@
 // deep-image from vector-db-benchmark. Those corpora are not available
 // offline, so this package generates synthetic datasets with the same
 // statistical character (dimensionality, cluster structure, inter-dimension
-// correlation) at a laptop-friendly scale; see DESIGN.md "Substitutions".
+// correlation) at a laptop-friendly scale; see the README section
+// "Substitutions and the cost model".
 // Ground truth is exact top-K computed by brute force once per dataset.
 package workload
 
