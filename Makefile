@@ -1,16 +1,17 @@
 # Developer / CI entry points. `make ci` is the gate: vet, the full test
-# suite under the race detector (crash-matrix recovery tests included), a
-# single pass over every benchmark so the macro experiments at least
-# compile and run, the online-reconfiguration gate (migration determinism
-# and the migration crash matrix, run explicitly so they cannot be
-# filtered out), the alloc-gate tests in strict mode (so the
-# zero-allocation query-path guarantee — with persistence enabled —
-# cannot be silently skipped), a 30s-per-target fuzz smoke pass over the
-# snapshot/WAL decoders, and a bench-json smoke pass.
+# suite under the race detector (crash-matrix recovery tests included),
+# the kernel and index suites on the portable purego kernels, vet and
+# tests of the perfbench module, a single pass over every benchmark so the
+# macro experiments at least compile and run, the online-reconfiguration
+# gate (migration determinism and the migration crash matrix, run
+# explicitly so they cannot be filtered out), the alloc-gate tests in
+# strict mode (so the zero-allocation query-path guarantee — with
+# persistence enabled — cannot be silently skipped), a 30s-per-target fuzz
+# smoke pass over the snapshot/WAL decoders, and a bench-json smoke pass.
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate fuzz-smoke ci
+.PHONY: all build test race vet purego perfbench-check bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate fuzz-smoke ci
 
 all: build
 
@@ -27,6 +28,17 @@ vet:
 # SearchBatch / live-collection / server-client tests.
 race:
 	$(GO) test -race ./...
+
+# The portable (no-assembly) kernel build of the kernel and index
+# packages: the bit-identity suites and the golden index fingerprints must
+# hold on both kernel paths.
+purego:
+	$(GO) test -tags purego ./internal/linalg ./internal/index
+
+# The benchmark harness is its own module, outside ./...: build, vet and
+# test it too.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark (root figure/table suite, the churn
 # benchmark BenchmarkSearchAfterDeletes, and package micro-benchmarks) —
@@ -134,7 +146,7 @@ fuzz-smoke:
 
 # BENCH_GATE=1 additionally runs the bench-compare regression fence (the
 # smoke pass already proves the pipeline itself works).
-ci: vet race bench reconfig-gate alloc-gate fuzz-smoke bench-json-smoke
+ci: vet race purego perfbench-check bench reconfig-gate alloc-gate fuzz-smoke bench-json-smoke
 ifeq ($(BENCH_GATE),1)
 ci: bench-compare
 endif

@@ -45,24 +45,21 @@ func TestIndexGolden(t *testing.T) {
 	vecs, ids, queries, _ := testData(t, 700, 16, 16, k, 13)
 
 	type goldenCase struct {
-		name string
-		typ  Type
-		bp   BuildParams
+		typ    Type
+		bp     BuildParams
+		suffix string
 	}
 	var cases []goldenCase
 	for _, typ := range AllTypes() {
-		cases = append(cases, goldenCase{typ.String(), typ, bp})
+		cases = append(cases, goldenCase{typ, bp, ""})
 	}
 	wide := bp
 	wide.NBits = 9 // ksubN > 256: the 2-byte PQ code path
-	cases = append(cases, goldenCase{"IVF_PQ/nbits9", IVFPQ, wide})
+	cases = append(cases, goldenCase{IVFPQ, wide, "/nbits9"})
 
 	for _, metric := range []linalg.Metric{linalg.L2, linalg.InnerProduct} {
 		for _, c := range cases {
-			name := c.typ.String() + "/" + metric.String()
-			if c.bp.NBits == 9 {
-				name += "/nbits9"
-			}
+			name := c.typ.String() + "/" + metric.String() + c.suffix
 			idx, err := New(c.typ, metric, 16, c.bp)
 			if err != nil {
 				t.Fatalf("New(%s): %v", name, err)

@@ -9,6 +9,12 @@
 //	SCANN      quantized IVF with exact re-ranking    (nlist; nprobe, reorder_k)
 //	AUTOINDEX  a fixed default configuration
 //
+// IVF_FLAT, IVF_SQ8, IVF_PQ and SCANN are one type, ivf: a shared k-means
+// coarse quantizer and one probe → cell-scan → replay skeleton over a
+// per-type payload (raw rows, SQ8 codes, PQ codes). SCANN is the SQ8
+// payload plus an exact re-rank of its best reorder_k candidates against
+// the retained raw rows.
+//
 // Every index counts the work it performs (full-precision distance
 // computations, quantized-code computations, PQ table lookups) in a Stats
 // value. The vdms engine converts those counts into a deterministic
@@ -36,8 +42,8 @@
 //
 // Vectors live in flat arenas (linalg.Matrix): one []float32 with
 // stride=dim, scanned by the blocked kernels in linalg. The IVF family
-// additionally groups rows cell-major, so each posting list is one
-// contiguous row range. All transient query state (visited sets, beams,
+// additionally groups its payload rows cell-major, so each posting list is
+// one contiguous row range. All transient query state (visited sets, beams,
 // top-k heaps, ADC tables, probe orders) comes from a pooled searchScratch
 // (see scratch.go): steady-state SearchInto and SearchMultiInto perform
 // zero heap allocations, which the alloc-gate tests in alloc_test.go
@@ -209,16 +215,10 @@ func New(t Type, m linalg.Metric, dim int, p BuildParams) (Index, error) {
 	switch t {
 	case Flat:
 		return newFlat(m, dim), nil
-	case IVFFlat:
-		return newIVFFlat(m, dim, p)
-	case IVFSQ8:
-		return newIVFSQ8(m, dim, p)
-	case IVFPQ:
-		return newIVFPQ(m, dim, p)
+	case IVFFlat, IVFSQ8, IVFPQ, SCANN:
+		return newIVF(t, m, dim, p)
 	case HNSW:
 		return newHNSW(m, dim, p)
-	case SCANN:
-		return newSCANN(m, dim, p)
 	case AutoIndex:
 		return newAutoIndex(m, dim, p)
 	default:

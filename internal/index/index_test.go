@@ -157,7 +157,7 @@ func TestIVFPQRoundsMToDivisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq := idx.(*ivfPQ)
+	pq := idx.(*ivf).payload.(*pqPayload)
 	if 32%pq.m != 0 {
 		t.Fatalf("m=%d does not divide 32", pq.m)
 	}

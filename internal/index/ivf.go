@@ -2,14 +2,15 @@ package index
 
 import (
 	"fmt"
+	"strings"
 
 	"vdtuner/internal/kmeans"
 	"vdtuner/internal/linalg"
 )
 
 // ivfCoarse is the shared coarse quantizer of the IVF family: a k-means
-// partition of the data into nlist cells. Owners store their payloads
-// (vectors, codes, ids) grouped cell-major — cell c's rows occupy the
+// partition of the data into nlist cells. The ivf index stores its payload
+// and ids grouped cell-major — cell c's rows occupy the
 // contiguous grouped range [cellStart[c], cellStart[c+1]) — so a probe
 // scans one contiguous block per cell instead of chasing a posting list of
 // scattered offsets.
@@ -206,10 +207,9 @@ func (c *ivfCoarse) selectCells(dists []float32, nprobe int, s *searchScratch) [
 // (global probe-slot ids, gathered in ascending slot = ascending query
 // order, deterministically), and s.mregion assigns each (query,
 // probe-slot) its contiguous region of s.mbuf, sized by its cell. The
-// total region length is returned and s.mbuf is sized to it. This is the
-// shared phase-2 skeleton of every IVF-family SearchMultiInto: after it,
-// the owner scans each probed cell once for all of its probers into the
-// regions, then replays per query.
+// total region length is returned and s.mbuf is sized to it. After it,
+// ivf.SearchMultiInto scans each probed cell once for all of its probers
+// into the regions, then replays per query.
 func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	ncells := c.cents.Rows()
 	slots := len(probes)
@@ -243,31 +243,6 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	}
 	s.mbuf = f32Buf(s.mbuf, int(total))
 	return int(total)
-}
-
-// replayRegions replays each query's materialized probe-slot regions in
-// probe order: push (ids[row], dist) into a private top-k, then offer its
-// sorted results to the caller's collector — exactly the candidate
-// sequence the single-query scan produces, so results and ties are
-// bit-identical per query.
-func (c *ivfCoarse) replayRegions(probes []int32, nprobe, k int, ids []int64, s *searchScratch, tops []*linalg.TopK) {
-	for qi := range tops {
-		top := s.top.Reset(k)
-		for pi := 0; pi < nprobe; pi++ {
-			slot := qi*nprobe + pi
-			lo, hi := c.cellRange(probes[slot])
-			if lo == hi {
-				continue
-			}
-			o := s.mregion[slot]
-			top.PushBlock(ids[lo:hi], s.mbuf[o:o+hi-lo])
-		}
-		s.res = top.AppendResults(s.res[:0])
-		dst := tops[qi]
-		for _, nb := range s.res {
-			dst.Push(nb.ID, nb.Dist)
-		}
-	}
 }
 
 func (c *ivfCoarse) clampProbe(nprobe int) int {
@@ -305,16 +280,53 @@ func gatherIDs(ids []int64, order []int32) []int64 {
 	return out
 }
 
-// ivfFlat stores raw vectors grouped cell-major and scans the probed
-// cells exactly with the blocked kernels, matching Milvus' IVF_FLAT.
-type ivfFlat struct {
+// ivfPayload is what distinguishes the IVF family's members: the
+// per-row payload stored grouped cell-major beside the shared coarse
+// quantizer and grouped ids, and how a query scores it. Scan arguments
+// are per-query float32 views drawn from the search scratch: the query
+// itself (raw rows), its SQ8 residual, or its PQ ADC table.
+type ivfPayload interface {
+	// encode stores the payload of store in grouped order (grouped row g
+	// encodes store.Row(order[g])) and returns the build work it charges
+	// on top of coarse training.
+	encode(store *linalg.Matrix, order []int32, seed int64, workers int) (Stats, error)
+	// queryArg returns q's scan argument.
+	queryArg(q []float32, s *searchScratch) []float32
+	// queryArgs returns every query's scan argument, args[i] answering
+	// queries[i], bit-identical to queryArg's.
+	queryArgs(queries [][]float32, s *searchScratch) [][]float32
+	// scan scores grouped rows [lo, hi) against one scan argument into
+	// out; scanMulti scores them against every args[j] into outs[j],
+	// bit-identical per argument to scan.
+	scan(arg []float32, lo, hi int, out []float32)
+	scanMulti(args [][]float32, lo, hi int, outs [][]float32)
+	// work is the search work of building the scan arguments of queries
+	// queries and scoring rows (query, row) pairs.
+	work(queries, rows int64) Stats
+	// bytes reports the payload's resident size.
+	bytes() int64
+}
+
+// ivf is the IVF family: a k-means coarse quantizer over one grouped
+// payload. IVF_FLAT stores raw rows, IVF_SQ8 SQ8 codes and IVF_PQ PQ codes
+// (Milvus' three IVF indexes); SCANN is the SQ8 payload plus the grouped
+// raw rows, against which it re-ranks its best reorder_k quantized
+// candidates exactly (SQ8 codes standing in for SCANN's anisotropic
+// quantization). Every member searches with the same skeleton: probe the
+// nearest cells, scan each probed cell's contiguous payload range, and
+// rank the candidates in probe order.
+type ivf struct {
+	typ     Type
 	coarse  *ivfCoarse
-	store   *linalg.Matrix // grouped cell-major
-	ids     []int64        // grouped
+	payload ivfPayload
+	ids     []int64 // grouped
+	// raw holds the grouped raw rows SCANN re-ranks against; nil for the
+	// other members.
+	raw     *linalg.Matrix
 	scratch scratchPool
 }
 
-func newIVFFlat(m linalg.Metric, dim int, p BuildParams) (*ivfFlat, error) {
+func newIVF(t Type, m linalg.Metric, dim int, p BuildParams) (*ivf, error) {
 	nlist := p.NList
 	if nlist == 0 {
 		nlist = 128
@@ -323,34 +335,101 @@ func newIVFFlat(m linalg.Metric, dim int, p BuildParams) (*ivfFlat, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ivfFlat{coarse: c}, nil
+	x := &ivf{typ: t, coarse: c}
+	switch t {
+	case IVFFlat:
+		x.payload = &rawPayload{metric: m}
+	case IVFSQ8, SCANN:
+		x.payload = &sq8Payload{metric: sq8ScanMetric(m)}
+	case IVFPQ:
+		x.payload = newPQPayload(m, dim, p)
+	}
+	return x, nil
 }
 
-func (x *ivfFlat) Type() Type { return IVFFlat }
+func (x *ivf) Type() Type { return x.typ }
 
-func (x *ivfFlat) pool() *scratchPool { return &x.scratch }
+func (x *ivf) pool() *scratchPool { return &x.scratch }
 
-func (x *ivfFlat) Build(store *linalg.Matrix, ids []int64) error {
+func (x *ivf) Build(store *linalg.Matrix, ids []int64) error {
+	name := strings.ToLower(x.typ.String())
 	if store.Rows() != len(ids) {
-		return fmt.Errorf("ivf_flat: %d vectors but %d ids", store.Rows(), len(ids))
+		return fmt.Errorf("%s: %d vectors but %d ids", name, store.Rows(), len(ids))
 	}
 	order, err := x.coarse.train(store)
 	if err != nil {
 		return err
 	}
-	x.store = gatherRows(store, order)
+	work, err := x.payload.encode(store, order, x.coarse.seed, x.coarse.workers)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	x.coarse.buildWork.Add(work)
+	if x.typ == SCANN {
+		x.raw = gatherRows(store, order)
+	}
 	x.ids = gatherIDs(ids, order)
 	return nil
 }
 
-func (x *ivfFlat) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if x.store == nil || x.store.Rows() == 0 || k < 1 {
+// stage returns the collector the cell scans feed: the final top-k, or
+// for SCANN the stage-1 collector of its reorder_k best grouped rows.
+func (x *ivf) stage(k int, p SearchParams, s *searchScratch) *linalg.TopK {
+	if x.raw == nil {
+		return s.top.Reset(k)
+	}
+	reorder := p.ReorderK
+	if reorder < k {
+		reorder = k
+	}
+	return s.stage1.Reset(reorder)
+}
+
+// offer pushes one scanned cell's distances, in row order, into the
+// stage collector: keyed by id, or for SCANN by grouped row.
+func (x *ivf) offer(top *linalg.TopK, lo, hi int32, dists []float32) {
+	if x.raw == nil {
+		top.PushBlock(x.ids[lo:hi], dists)
+		return
+	}
+	for i, d := range dists {
+		top.Push(int64(lo)+int64(i), d)
+	}
+}
+
+// finish turns the stage collector into the final top-k: the collector
+// itself, or for SCANN the exact re-rank of its survivors. The survivors
+// are gathered into the contiguous s.gath arena and scored with one
+// blocked kernel call; gathered rows are exact copies, so each distance
+// is bitwise equal to a per-row linalg.Distance.
+func (x *ivf) finish(q []float32, k int, stage *linalg.TopK, st *Stats, s *searchScratch) *linalg.TopK {
+	if x.raw == nil {
+		return stage
+	}
+	s.neighbors = stage.AppendResults(s.neighbors[:0])
+	dim := x.coarse.dim
+	n := len(s.neighbors)
+	s.gath = f32Buf(s.gath, n*dim)
+	for ci, c := range s.neighbors {
+		copy(s.gath[ci*dim:(ci+1)*dim], x.raw.Row(int(c.ID)))
+	}
+	s.dists = f32Buf(s.dists, n)
+	linalg.DistanceBlock(x.coarse.metric, q, s.gath[:n*dim], s.dists)
+	top := s.top.Reset(k)
+	for ci, c := range s.neighbors {
+		top.Push(x.ids[int(c.ID)], s.dists[ci])
+	}
+	accumulate(st, Stats{DistComps: int64(n)})
+	return top
+}
+
+func (x *ivf) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
+	if len(x.ids) == 0 || k < 1 {
 		return dst
 	}
 	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	data := x.store.Data()
-	dim := x.store.Dim()
-	top := s.top.Reset(k)
+	arg := x.payload.queryArg(q, s)
+	top := x.stage(k, p, s)
 	var scanned int64
 	for _, cell := range cells {
 		lo, hi := x.coarse.cellRange(cell)
@@ -358,32 +437,33 @@ func (x *ivfFlat) searchWith(q []float32, k int, p SearchParams, st *Stats, s *s
 			continue
 		}
 		s.dists = f32Buf(s.dists, int(hi-lo))
-		linalg.DistanceBlock(x.coarse.metric, q, data[int(lo)*dim:int(hi)*dim], s.dists)
-		top.PushBlock(x.ids[lo:hi], s.dists)
+		x.payload.scan(arg, int(lo), int(hi), s.dists)
+		x.offer(top, lo, hi, s.dists)
 		scanned += int64(hi - lo)
 	}
-	accumulate(st, Stats{DistComps: scanned})
-	return top.AppendResults(dst)
+	accumulate(st, x.payload.work(1, scanned))
+	return x.finish(q, k, top, st, s).AppendResults(dst)
 }
 
-func (x *ivfFlat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
+func (x *ivf) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
 	searchIntoPooled(x, q, k, p, st, top)
 }
 
-// SearchMultiInto shares the posting-list streaming across the query
-// tile. Three phases: (1) batched coarse assignment (probeMulti); (2) the
-// probe table is inverted cell→probers with a counting sort, and each
-// probed cell's contiguous row range is scanned once by the multi-query
-// kernel for all of its probers, materializing every (query, probe-slot)
-// distance region in scratch; (3) per query, the regions are replayed in
-// probe order — pushing into a private top-k and offering its sorted
-// results to the caller's collector, exactly the sequence SearchInto
+// SearchMultiInto shares the payload streaming across the query tile.
+// Three phases: (1) batched coarse assignment (probeMulti) and every
+// query's scan argument; (2) the probe table is inverted cell→probers
+// with a counting sort, and each probed cell's contiguous payload range
+// is scanned once by the multi-query kernels for all of its probers,
+// materializing every (query, probe-slot) distance region in scratch;
+// (3) per query, the regions are replayed in probe order into the stage
+// collector, finished as SearchInto finishes, and the sorted results
+// offered to the caller's collector — exactly the sequence SearchInto
 // produces — so results, ties, and Stats are bit-identical per query
-// while each cell's rows are loaded from memory once per tile instead of
-// once per probing query.
-func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
+// while each cell's payload is loaded from memory once per tile instead
+// of once per probing query.
+func (x *ivf) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
-	if x.store == nil || x.store.Rows() == 0 || k < 1 || qn == 0 {
+	if len(x.ids) == 0 || k < 1 || qn == 0 {
 		return
 	}
 	if qn == 1 { // a tile of one takes the single-query scan
@@ -393,13 +473,10 @@ func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st
 	s := x.scratch.get()
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	x.coarse.invertProbes(probes, s)
+	args := x.payload.queryArgs(queries, s)
+	total := x.coarse.invertProbes(probes, s)
 
-	// Scan each probed cell once for all its probers.
-	data := x.store.Data()
-	dim := x.store.Dim()
 	ncells := x.coarse.cents.Rows()
-	var scanned int64
 	for c := 0; c < ncells; c++ {
 		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
 		if elo == ehi {
@@ -414,32 +491,79 @@ func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st
 		s.mouts = f32sBuf(s.mouts, nq)
 		for j := 0; j < nq; j++ {
 			slot := s.ment[elo+j]
-			s.mqrows[j] = queries[slot/int32(nprobe)]
+			s.mqrows[j] = args[int(slot)/nprobe]
 			o := s.mregion[slot]
 			s.mouts[j] = s.mbuf[o : o+hi-lo]
 		}
-		linalg.DistanceMultiScatter(x.coarse.metric, s.mqrows, data[int(lo)*dim:int(hi)*dim], s.mouts)
-		scanned += int64(nq) * int64(hi-lo)
+		x.payload.scanMulti(s.mqrows, int(lo), int(hi), s.mouts)
 	}
+	accumulate(st, x.payload.work(int64(qn), int64(total)))
 
-	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{DistComps: scanned})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
+	for qi, q := range queries {
+		top := x.stage(k, p, s)
+		for pi := 0; pi < nprobe; pi++ {
+			slot := qi*nprobe + pi
+			lo, hi := x.coarse.cellRange(probes[slot])
+			if lo == hi {
+				continue
+			}
+			o := s.mregion[slot]
+			x.offer(top, lo, hi, s.mbuf[o:o+hi-lo])
+		}
+		s.res = x.finish(q, k, top, st, s).AppendResults(s.res[:0])
+		dst := tops[qi]
+		for _, nb := range s.res {
+			dst.Push(nb.ID, nb.Dist)
+		}
 	}
+	clear(s.mqrows[:cap(s.mqrows)]) // don't pin caller query slices in the pool
 	x.scratch.put(s)
 }
 
-func (x *ivfFlat) MemoryBytes() int64 {
-	if x.store == nil {
+func (x *ivf) MemoryBytes() int64 {
+	if len(x.ids) == 0 {
 		return 0
 	}
-	return x.store.Bytes() +
-		x.coarse.centroidBytes() + int64(x.store.Rows())*4 // grouped row ids
+	var raw int64
+	if x.raw != nil {
+		raw = x.raw.Bytes()
+	}
+	return x.payload.bytes() + raw + x.coarse.centroidBytes() +
+		int64(len(x.ids))*4 // grouped row ids
 }
 
-func (x *ivfFlat) BuildStats() Stats { return x.coarse.buildWork }
+func (x *ivf) BuildStats() Stats { return x.coarse.buildWork }
 
 // StoreAdopted: the IVF family copies its payloads into cell-major
 // storage; the caller's arena is not retained.
-func (x *ivfFlat) StoreAdopted() bool { return false }
+func (x *ivf) StoreAdopted() bool { return false }
+
+// rawPayload is IVF_FLAT's payload: the raw rows, scanned exactly with the
+// blocked float kernels, matching Milvus' IVF_FLAT.
+type rawPayload struct {
+	metric linalg.Metric
+	rows   *linalg.Matrix // grouped
+}
+
+func (r *rawPayload) encode(store *linalg.Matrix, order []int32, _ int64, _ int) (Stats, error) {
+	r.rows = gatherRows(store, order)
+	return Stats{}, nil
+}
+
+func (r *rawPayload) queryArg(q []float32, _ *searchScratch) []float32 { return q }
+
+func (r *rawPayload) queryArgs(queries [][]float32, _ *searchScratch) [][]float32 { return queries }
+
+func (r *rawPayload) scan(q []float32, lo, hi int, out []float32) {
+	dim := r.rows.Dim()
+	linalg.DistanceBlock(r.metric, q, r.rows.Data()[lo*dim:hi*dim], out)
+}
+
+func (r *rawPayload) scanMulti(queries [][]float32, lo, hi int, outs [][]float32) {
+	dim := r.rows.Dim()
+	linalg.DistanceMultiScatter(r.metric, queries, r.rows.Data()[lo*dim:hi*dim], outs)
+}
+
+func (r *rawPayload) work(_, rows int64) Stats { return Stats{DistComps: rows} }
+
+func (r *rawPayload) bytes() int64 { return r.rows.Bytes() }

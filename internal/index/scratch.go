@@ -65,11 +65,13 @@ type searchScratch struct {
 	// Quantized-scan state. resid is the single-query SQ8 residual
 	// (q - min); mres the flat Q×dim residual arena of the multi path.
 	// madc is the flat Q×(m·ksub) ADC table arena of the multi-query PQ
-	// scan. gath is the SCANN re-rank gather arena: one query's stage-1
+	// scan. margs holds the per-query scan-argument views into mres or
+	// madc. gath is the SCANN re-rank gather arena: one query's stage-1
 	// survivors copied contiguous so stage 2 is one blocked kernel call.
 	resid []float32
 	mres  []float32
 	madc  []float32
+	margs [][]float32
 	gath  []float32
 }
 

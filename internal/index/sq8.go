@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-
 	"vdtuner/internal/linalg"
 	"vdtuner/internal/parallel"
 )
@@ -99,199 +97,85 @@ func (c *sq8Codec) encode(v []float32, dst []byte) {
 	}
 }
 
-// scanMetric maps the index metric onto the SQ8 kernel family: negative
+// sq8ScanMetric maps an index metric onto the SQ8 kernel family: negative
 // dot for InnerProduct, reconstruction L2 for everything else (Angular
 // inputs are normalized upstream, so squared L2 ranks identically).
-func (c *sq8Codec) scanMetric(m linalg.Metric) linalg.Metric {
+func sq8ScanMetric(m linalg.Metric) linalg.Metric {
 	if m == linalg.InnerProduct {
 		return linalg.InnerProduct
 	}
 	return linalg.L2
 }
 
-// dist computes the approximate distance between query q and one code row:
-// the scalar form of the blocked kernel contract, bit-identical to a
-// one-row DistanceSQ8Block call.
+// dist computes the approximate distance between query q and one code row
+// under index metric m: the scalar form of the blocked kernel contract,
+// bit-identical to a one-row DistanceSQ8Block call.
 func (c *sq8Codec) dist(m linalg.Metric, q []float32, code []byte) float32 {
-	return linalg.SQ8Distance(c.scanMetric(m), q, c.min, c.scale, code)
+	return linalg.SQ8Distance(sq8ScanMetric(m), q, c.min, c.scale, code)
 }
 
 func (c *sq8Codec) bytes() int64 {
 	return 2 * int64(c.dim) * float32Bytes // min/scale
 }
 
-// ivfSQ8 is IVF with SQ8-compressed posting lists: the probed cells are
-// scanned in the quantized domain (cheaper per candidate, small recall
-// loss), and raw vectors are not retained, matching Milvus' IVF_SQ8.
-// Codes live in one flat arena grouped cell-major, so each probe streams
-// a contiguous byte range.
-type ivfSQ8 struct {
-	coarse  *ivfCoarse
-	codec   *sq8Codec
-	codes   []byte // grouped, store.Rows()*dim bytes
-	ids     []int64
-	scratch scratchPool
+// sq8Payload is IVF_SQ8's (and SCANN's stage-1) payload: SQ8 codes in one
+// flat arena grouped cell-major, so each probe streams a contiguous byte
+// range through the blocked decode kernels. Scanning in the quantized
+// domain is cheaper per candidate at a small recall loss; IVF_SQ8 retains
+// no raw vectors, matching Milvus.
+type sq8Payload struct {
+	metric linalg.Metric // the SQ8 kernel metric (sq8ScanMetric)
+	codec  *sq8Codec
+	codes  []byte // grouped, rows*dim bytes
 }
 
-func newIVFSQ8(m linalg.Metric, dim int, p BuildParams) (*ivfSQ8, error) {
-	nlist := p.NList
-	if nlist == 0 {
-		nlist = 128
-	}
-	c, err := newIVFCoarse(m, dim, nlist, p.Seed, p.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &ivfSQ8{coarse: c}, nil
-}
-
-func (x *ivfSQ8) Type() Type { return IVFSQ8 }
-
-func (x *ivfSQ8) pool() *scratchPool { return &x.scratch }
-
-func (x *ivfSQ8) Build(store *linalg.Matrix, ids []int64) error {
-	if store.Rows() != len(ids) {
-		return fmt.Errorf("ivf_sq8: %d vectors but %d ids", store.Rows(), len(ids))
-	}
-	order, err := x.coarse.train(store)
-	if err != nil {
-		return err
-	}
-	x.codec = trainSQ8(store, x.coarse.dim, x.coarse.workers)
-	x.codes = x.codec.encodeGrouped(store, order, x.coarse.workers)
-	x.ids = gatherIDs(ids, order)
+func (p *sq8Payload) encode(store *linalg.Matrix, order []int32, _ int64, workers int) (Stats, error) {
+	p.codec = trainSQ8(store, store.Dim(), workers)
+	p.codes = p.codec.encodeGrouped(store, order, workers)
 	// Encoding charges one code-domain pass over the data.
-	x.coarse.buildWork.Add(Stats{CodeComps: int64(store.Rows())})
-	return nil
+	return Stats{CodeComps: int64(store.Rows())}, nil
 }
 
-func (x *ivfSQ8) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if len(x.codes) == 0 || k < 1 {
-		return dst
+// queryArg hoists the per-query affine constant of a blocked SQ8 scan:
+// the L2 kernels take the residual q - min (computed once into s.resid),
+// the dot kernels the raw query.
+func (p *sq8Payload) queryArg(q []float32, s *searchScratch) []float32 {
+	if p.metric != linalg.L2 {
+		return q
 	}
-	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	return x.scanCells(q, cells, k, st, s, dst)
+	s.resid = f32Buf(s.resid, p.codec.dim)
+	linalg.SQ8Residual(q, p.codec.min, s.resid)
+	return s.resid
 }
 
-// scanArg hoists the per-query affine constant of a blocked SQ8 scan: the
-// L2 kernels take the residual q - min (computed once into s.resid), the
-// dot kernels the raw query. Returns the kernel metric and the query
-// argument to pass.
-func (c *sq8Codec) scanArg(m linalg.Metric, q []float32, s *searchScratch) (linalg.Metric, []float32) {
-	sm := c.scanMetric(m)
-	if sm == linalg.L2 {
-		s.resid = f32Buf(s.resid, c.dim)
-		linalg.SQ8Residual(q, c.min, s.resid)
-		return sm, s.resid
+// queryArgs hoists every query's residual into the flat s.mres arena
+// under L2.
+func (p *sq8Payload) queryArgs(queries [][]float32, s *searchScratch) [][]float32 {
+	if p.metric != linalg.L2 {
+		return queries
 	}
-	return sm, q
+	dim := p.codec.dim
+	s.mres = f32Buf(s.mres, len(queries)*dim)
+	s.margs = f32sBuf(s.margs, len(queries))
+	for qi, q := range queries {
+		s.margs[qi] = s.mres[qi*dim : (qi+1)*dim]
+		linalg.SQ8Residual(q, p.codec.min, s.margs[qi])
+	}
+	return s.margs
 }
 
-// scanCells scores the given cells' quantized codes against q in probe
-// order with the blocked decode kernels — each cell's contiguous byte
-// range streams through DistanceSQ8Block — returning the top-k appended
-// to dst.
-func (x *ivfSQ8) scanCells(q []float32, cells []int32, k int, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	dim := x.coarse.dim
-	sm, qa := x.codec.scanArg(x.coarse.metric, q, s)
-	top := s.top.Reset(k)
-	var scanned int64
-	for _, cell := range cells {
-		lo, hi := x.coarse.cellRange(cell)
-		if lo == hi {
-			continue
-		}
-		s.dists = f32Buf(s.dists, int(hi-lo))
-		linalg.DistanceSQ8Block(sm, qa, x.codec.min, x.codec.scale, x.codes[int(lo)*dim:int(hi)*dim], s.dists)
-		top.PushBlock(x.ids[lo:hi], s.dists)
-		scanned += int64(hi - lo)
-	}
-	accumulate(st, Stats{CodeComps: scanned})
-	return top.AppendResults(dst)
+func (p *sq8Payload) scan(arg []float32, lo, hi int, out []float32) {
+	dim := p.codec.dim
+	linalg.DistanceSQ8Block(p.metric, arg, p.codec.min, p.codec.scale, p.codes[lo*dim:hi*dim], out)
 }
 
-func (x *ivfSQ8) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(x, q, k, p, st, top)
+// scanMulti decodes the range once per quad of arguments with the
+// multi-query SQ8 kernels.
+func (p *sq8Payload) scanMulti(args [][]float32, lo, hi int, outs [][]float32) {
+	dim := p.codec.dim
+	linalg.DistanceSQ8MultiScatter(p.metric, args, p.codec.min, p.codec.scale, p.codes[lo*dim:hi*dim], outs)
 }
 
-// SearchMultiInto shares the byte-domain posting-list streaming across
-// the query tile, the same three phases as IVF_FLAT's: batched coarse
-// assignment, cell→prober inversion with each probed cell's code range
-// decoded once per quad of probers by the multi-query SQ8 kernels
-// (residuals hoisted per query up front under L2), and a per-query replay
-// that reproduces the single-query candidate sequence exactly.
-func (x *ivfSQ8) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	qn := len(queries)
-	if len(x.codes) == 0 || k < 1 || qn == 0 {
-		return
-	}
-	if qn == 1 { // a tile of one takes the single-query scan
-		x.SearchInto(queries[0], k, p, st, tops[0])
-		return
-	}
-	s := x.scratch.get()
-	nprobe := x.coarse.clampProbe(p.NProbe)
-	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	total := x.coarse.invertProbes(probes, s)
+func (p *sq8Payload) work(_, rows int64) Stats { return Stats{CodeComps: rows} }
 
-	dim := x.coarse.dim
-	sm := x.codec.scanMetric(x.coarse.metric)
-	l2 := sm == linalg.L2
-	if l2 {
-		// Hoist every query's residual into the flat arena once.
-		s.mres = f32Buf(s.mres, qn*dim)
-		for qi, q := range queries {
-			linalg.SQ8Residual(q, x.codec.min, s.mres[qi*dim:(qi+1)*dim])
-		}
-	}
-
-	ncells := x.coarse.cents.Rows()
-	for c := 0; c < ncells; c++ {
-		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
-		if elo == ehi {
-			continue
-		}
-		lo, hi := x.coarse.cellRange(int32(c))
-		if lo == hi {
-			continue
-		}
-		nq := ehi - elo
-		s.mqrows = f32sBuf(s.mqrows, nq)
-		s.mouts = f32sBuf(s.mouts, nq)
-		for j := 0; j < nq; j++ {
-			slot := s.ment[elo+j]
-			qi := int(slot) / nprobe
-			if l2 {
-				s.mqrows[j] = s.mres[qi*dim : (qi+1)*dim]
-			} else {
-				s.mqrows[j] = queries[qi]
-			}
-			o := s.mregion[slot]
-			s.mouts[j] = s.mbuf[o : o+hi-lo]
-		}
-		linalg.DistanceSQ8MultiScatter(sm, s.mqrows, x.codec.min, x.codec.scale,
-			x.codes[int(lo)*dim:int(hi)*dim], s.mouts)
-	}
-
-	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{CodeComps: int64(total)})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
-	}
-	x.scratch.put(s)
-}
-
-func (x *ivfSQ8) MemoryBytes() int64 {
-	var codecBytes int64
-	if x.codec != nil {
-		codecBytes = x.codec.bytes()
-	}
-	return int64(len(x.codes)) + // 1 byte/dim codes
-		x.coarse.centroidBytes() +
-		codecBytes +
-		int64(len(x.ids))*4 // grouped row ids
-}
-
-func (x *ivfSQ8) BuildStats() Stats { return x.coarse.buildWork }
-
-func (x *ivfSQ8) StoreAdopted() bool { return false }
+func (p *sq8Payload) bytes() int64 { return int64(len(p.codes)) + p.codec.bytes() }

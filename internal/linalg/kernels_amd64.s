@@ -42,6 +42,7 @@ dbrow:
 	TESTQ R10, R10
 	JE    dbtail
 
+	PCALIGN $64
 dbvec:
 	MOVUPS (SI)(R8*4), X1
 	MOVUPS (DI)(R8*4), X2
@@ -122,6 +123,7 @@ l2row:
 	TESTQ R10, R10
 	JE    l2tail
 
+	PCALIGN $64
 l2vec:
 	MOVUPS (SI)(R8*4), X1
 	MOVUPS (DI)(R8*4), X2
@@ -215,6 +217,7 @@ dm4row:
 	TESTQ R10, R10
 	JE    dm4tail
 
+	PCALIGN $64
 dm4vec:
 	MOVUPS (DI)(R8*4), X4     // row[j..j+3], loaded once for all 4 queries
 	MOVUPS (SI)(R8*4), X5
@@ -337,6 +340,7 @@ l2m4row:
 	TESTQ R10, R10
 	JE    l2m4tail
 
+	PCALIGN $64
 l2m4vec:
 	MOVUPS (DI)(R8*4), X4
 	MOVUPS (SI)(R8*4), X5
@@ -438,6 +442,7 @@ sq8l2row:
 	TESTQ R10, R10
 	JE    sq8l2tail
 
+	PCALIGN $64
 sq8l2vec:
 	MOVL      (DI)(R8*1), AX
 	MOVQ      AX, X1
@@ -518,6 +523,7 @@ sq8dbrow:
 	TESTQ R10, R10
 	JE    sq8dbtail
 
+	PCALIGN $64
 sq8dbvec:
 	MOVL      (DI)(R8*1), AX
 	MOVQ      AX, X1
@@ -623,6 +629,7 @@ sq8l2m4row:
 	TESTQ R10, R10
 	JE    sq8l2m4tail
 
+	PCALIGN $64
 sq8l2m4vec:
 	MOVL      (DI)(R8*1), AX
 	MOVQ      AX, X4
@@ -733,6 +740,7 @@ sq8dm4row:
 	TESTQ R10, R10
 	JE    sq8dm4tail
 
+	PCALIGN $64
 sq8dm4vec:
 	MOVL      (DI)(R8*1), AX
 	MOVQ      AX, X4
@@ -865,6 +873,7 @@ TEXT ·pqScan8SSE(SB), NOSPLIT, $0-88
 	MOVQ BX, R9
 	ANDQ $~3, R9          // body = m &^ 3
 
+	PCALIGN $64
 pqrow:
 	XORPS X0, X0
 	XORPS X1, X1

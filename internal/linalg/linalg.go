@@ -105,13 +105,6 @@ func DotBlock(q, block []float32, out []float32) {
 	dotBlockKernel(q, block, out, opNone)
 }
 
-// SquaredL2Block computes the squared Euclidean distance of q to every row
-// of the packed arena block, writing into out. Bit-identical per row to
-// SquaredL2; see DotBlock.
-func SquaredL2Block(q, block []float32, out []float32) {
-	l2BlockKernel(q, block, out)
-}
-
 // DistanceBlock computes the distance of q to every row of the packed
 // arena block under metric m, writing into out. Each out[i] is bitwise
 // equal to Distance(m, q, row_i): the InnerProduct/Angular epilogue is
@@ -181,19 +174,4 @@ func Clone(v []float32) []float32 {
 	c := make([]float32, len(v))
 	copy(c, v)
 	return c
-}
-
-// Mean returns the element-wise mean of the given vectors. It panics if
-// vecs is empty. All vectors must share the same dimension.
-func Mean(vecs [][]float32) []float32 {
-	if len(vecs) == 0 {
-		panic("linalg: Mean of empty set")
-	}
-	dim := len(vecs[0])
-	m := make([]float32, dim)
-	for _, v := range vecs {
-		AddInto(m, v)
-	}
-	Scale(m, 1/float32(len(vecs)))
-	return m
 }

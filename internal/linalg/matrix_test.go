@@ -107,12 +107,6 @@ func TestBlockKernelsBitIdentical(t *testing.T) {
 			t.Fatalf("DotBlock row %d: %v != Dot %v", i, out[i], want)
 		}
 	}
-	SquaredL2Block(q, m.Data(), out)
-	for i, r := range rows {
-		if want := SquaredL2(q, r); out[i] != want {
-			t.Fatalf("SquaredL2Block row %d: %v != SquaredL2 %v", i, out[i], want)
-		}
-	}
 	for _, metric := range []Metric{L2, InnerProduct, Angular} {
 		DistanceBlock(metric, q, m.Data(), out)
 		for i, r := range rows {

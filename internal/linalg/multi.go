@@ -150,21 +150,6 @@ func multiMatrix(l2 bool, op int, queries *Matrix, block []float32, out []float3
 	}
 }
 
-// DotMultiBlock computes the dot product of every query row of queries
-// against every row of the packed arena block: out[qi*rows+r] is bitwise
-// equal to Dot(queries.Row(qi), row_r), with rows = len(block)/dim. out
-// must hold queries.Rows()*rows values.
-func DotMultiBlock(queries *Matrix, block []float32, out []float32) {
-	multiMatrix(false, opNone, queries, block, out)
-}
-
-// SquaredL2MultiBlock is the squared-Euclidean counterpart of
-// DotMultiBlock: out[qi*rows+r] == SquaredL2(queries.Row(qi), row_r),
-// bitwise.
-func SquaredL2MultiBlock(queries *Matrix, block []float32, out []float32) {
-	multiMatrix(true, opNone, queries, block, out)
-}
-
 // DistanceMultiBlock computes the distance of every query row to every
 // arena row under metric m: out[qi*rows+r] == Distance(m,
 // queries.Row(qi), row_r), bitwise. The metric epilogue is fused into the

@@ -93,26 +93,6 @@ func TestMultiKernelBitIdentity(t *testing.T) {
 					}
 				}
 			}
-			// Dot / SquaredL2 multi forms against their scalar references.
-			flat := make([]float32, qn*rows)
-			DotMultiBlock(qm, block, flat)
-			for i, q := range queries {
-				for r := 0; r < rows; r++ {
-					if want := Dot(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
-						t.Fatalf("dim=%d q=%d row=%d: DotMultiBlock=%x Dot=%x",
-							dim, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(want))
-					}
-				}
-			}
-			SquaredL2MultiBlock(qm, block, flat)
-			for i, q := range queries {
-				for r := 0; r < rows; r++ {
-					if want := SquaredL2(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
-						t.Fatalf("dim=%d q=%d row=%d: SquaredL2MultiBlock=%x SquaredL2=%x",
-							dim, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(want))
-					}
-				}
-			}
 		}
 	}
 }

@@ -424,6 +424,9 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 		if req.K < 1 {
 			return &Response{Error: "search: k must be >= 1"}
 		}
+		if err := s.checkAnswerSize(req.Op, 1, req.K); err != nil {
+			return &Response{Error: err.Error()}
+		}
 		var st index.Stats
 		res, err := s.coll.Search(req.Query, req.K, &st)
 		if err != nil {
@@ -438,6 +441,9 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 	case "searchBatch":
 		if req.K < 1 {
 			return &Response{Error: "searchBatch: k must be >= 1"}
+		}
+		if err := s.checkAnswerSize(req.Op, len(req.Queries), req.K); err != nil {
+			return &Response{Error: err.Error()}
 		}
 		var st index.Stats
 		res, err := s.coll.SearchBatch(req.Queries, req.K, &st)
@@ -502,6 +508,26 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 	default:
 		return &Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+}
+
+// neighborWireBytes is the binary wire size of one answered neighbor: an
+// int64 id and a float32 distance.
+const neighborWireBytes = 12
+
+// checkAnswerSize refuses a search whose answer could not fit the
+// per-request byte limit: max(1, queries) × k neighbors. k comes off the
+// wire, and the engine sizes its result collectors by it, so an unchecked
+// k of 2^32 would exhaust memory before any row is scanned.
+func (s *Server) checkAnswerSize(op string, queries, k int) error {
+	if queries < 1 {
+		queries = 1
+	}
+	limit := s.opts.maxRequestBytes()
+	if k > limit/neighborWireBytes/queries {
+		return fmt.Errorf("%s: %d queries x k=%d neighbors exceed the server's %d-byte limit",
+			op, queries, k, limit)
+	}
+	return nil
 }
 
 // Client is a synchronous connection to a Server. It is safe for

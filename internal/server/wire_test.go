@@ -342,6 +342,74 @@ func TestOversizedJSONRequestRefused(t *testing.T) {
 	assertServerAlive(t, srv)
 }
 
+// hugeK is the largest k the binary protocol can carry. Before search
+// answers were bounded by the request limit, one such search sized the
+// engine's result collectors by it and killed the process with a fatal
+// out-of-memory error, which no recover can catch.
+const hugeK = 1<<32 - 1
+
+// TestHugeKOverJSONAnswersWithoutDropping: search, searchBatch and sample
+// requests whose k asks for more than the request limit could carry are
+// per-request errors (sample is clamped to the live rows instead), and the
+// connection keeps serving.
+func TestHugeKOverJSONAnswersWithoutDropping(t *testing.T) {
+	srv := startServerOpts(t, Options{})
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	vecs := vecsFor(50, 31)
+	if _, err := cl.Insert(vecs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Search(vecs[0], hugeK); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("search with k=%d: err = %v, want a limit error", hugeK, err)
+	}
+	// Two queries halve the k the limit allows.
+	k := defaultMaxRequestBytes/neighborWireBytes/2 + 1
+	if _, err := cl.SearchBatch(vecs[:2], k); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("searchBatch of 2 with k=%d: err = %v, want a limit error", k, err)
+	}
+	got, err := cl.SampleVectors(1 << 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(vecs) {
+		t.Fatalf("sample of 2^32 returned %d vectors, want all %d live rows", len(got), len(vecs))
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection broken after huge-k requests: %v", err)
+	}
+	res, err := cl.Search(vecs[0], 100)
+	if err != nil || len(res) != len(vecs) {
+		t.Fatalf("search with k=100 after refusals: %d results, err %v", len(res), err)
+	}
+	assertServerAlive(t, srv)
+}
+
+// TestHugeKOverBinaryAnswersWithoutDropping is the binary-protocol twin:
+// a 30-byte search frame carrying k = 2^32-1 gets an error response by
+// id, and the pipelined connection keeps serving.
+func TestHugeKOverBinaryAnswersWithoutDropping(t *testing.T) {
+	srv := startServerOpts(t, Options{})
+	cl := dialBin(t, srv)
+	vecs := vecsFor(50, 32)
+	if _, err := cl.Insert(vecs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Search(vecs[0], hugeK); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("search with k=%d: err = %v, want a limit error", hugeK, err)
+	}
+	if _, err := cl.SearchBatch(vecs[:4], hugeK); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("searchBatch with k=%d: err = %v, want a limit error", hugeK, err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection broken after huge-k requests: %v", err)
+	}
+	assertServerAlive(t, srv)
+}
+
 // TestMalformedPayloadAnswersWithoutDropping: a frame whose checksum
 // matches but whose payload contradicts itself (hostile count fields) is
 // a per-request error — the stream stays in sync and the connection
@@ -438,7 +506,7 @@ func TestPipelinedInterleavedBurst(t *testing.T) {
 						return
 					}
 				case 2:
-					qs := [][]float32{seed[w % len(seed)], seed[(w+1)%len(seed)]}
+					qs := [][]float32{seed[w%len(seed)], seed[(w+1)%len(seed)]}
 					res, err := cl.SearchBatch(qs, 2)
 					if err != nil {
 						errs <- err

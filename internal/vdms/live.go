@@ -687,6 +687,15 @@ func (c *Collection) SampleVectors(n int) [][]float32 {
 	defer c.router.RUnlock()
 	c.rlockAll()
 	defer c.runlockAll()
+	// n comes off the wire: size the result by what can fill it, never by
+	// the request alone.
+	var live int64
+	for _, s := range c.shards {
+		live += s.rows
+	}
+	if int64(n) > live {
+		n = int(live)
+	}
 	out := make([][]float32, 0, n)
 	for _, s := range c.shards {
 		appendRows := func(store *linalg.Matrix, ids []int64) {
