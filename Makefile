@@ -4,14 +4,15 @@
 # tests of the perfbench module, a single pass over every benchmark so the
 # macro experiments at least compile and run, the online-reconfiguration
 # gate (migration determinism and the migration crash matrix, run
-# explicitly so they cannot be filtered out), the alloc-gate tests in
-# strict mode (so the zero-allocation query-path guarantee — with
+# explicitly so they cannot be filtered out), the recovery gate (recovery
+# determinism and the crash matrices, likewise explicit), the alloc-gate
+# tests in strict mode (so the zero-allocation query-path guarantee — with
 # persistence enabled — cannot be silently skipped), a 30s-per-target fuzz
 # smoke pass over the snapshot/WAL decoders, and a bench-json smoke pass.
 
 GO ?= go
 
-.PHONY: all build test race vet purego perfbench-check bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate fuzz-smoke ci
+.PHONY: all build test race vet purego perfbench-check bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate recovery-gate fuzz-smoke ci
 
 all: build
 
@@ -137,6 +138,16 @@ reconfig-gate:
 	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate' -count=1 ./internal/vdms
 	$(GO) test -run 'TestMigrationCrashMatrix' -count=1 ./internal/persist/crashtest
 
+# The recovery gate, run explicitly (not just as part of the suite) so a
+# filter cannot drop it: recovery determinism — a recovered collection,
+# sharded or not, answers bit-identically to the engine that crashed, and
+# ids keep their shards — the durable round trips, and the crash matrices,
+# which recover from every WAL truncation point and compare against a
+# reference engine.
+recovery-gate:
+	$(GO) test -run '^(TestRecoveryDeterminism|TestShardedRecoveryBitIdentical|TestShardedRoutingFixed|TestDurable)' -count=1 ./internal/vdms
+	$(GO) test -run '^TestCrashMatrix' -count=1 ./internal/persist/crashtest
+
 # Native fuzzing smoke pass over the persistence decoders: 30 seconds per
 # target proving hostile snapshot/WAL bytes never panic or OOM — recovery
 # either succeeds or returns a typed persist.CorruptError.
@@ -146,7 +157,7 @@ fuzz-smoke:
 
 # BENCH_GATE=1 additionally runs the bench-compare regression fence (the
 # smoke pass already proves the pipeline itself works).
-ci: vet race purego perfbench-check bench reconfig-gate alloc-gate fuzz-smoke bench-json-smoke
+ci: vet race purego perfbench-check bench reconfig-gate recovery-gate alloc-gate fuzz-smoke bench-json-smoke
 ifeq ($(BENCH_GATE),1)
 ci: bench-compare
 endif

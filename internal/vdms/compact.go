@@ -126,18 +126,42 @@ func (s *shard) gatherLocked(t compactTask) compactInput {
 // buildCompacted builds the replacement segment for one task outside the
 // lock. A task whose rows are all dead yields (nil, nil): the sources are
 // simply dropped.
-func buildCompacted(cfg Config, metric linalg.Metric, dim int, in compactInput, seq int64) (*sealedSegment, error) {
+func (s *shard) buildCompacted(in compactInput, seq int64) (*sealedSegment, error) {
 	if len(in.ids) == 0 {
 		return nil, nil
 	}
-	idx, err := newSegmentIndex(cfg, indexMetric(metric), dim, seq)
-	if err == nil {
-		err = idx.Build(in.store, in.ids)
-	}
+	idx, err := s.buildSegment(in.store, in.ids, seq)
 	if err != nil {
 		return nil, err
 	}
 	return &sealedSegment{seq: seq, store: in.store, ids: in.ids, idx: idx}, nil
+}
+
+// commitCompactionLocked commits one compaction task's outcome — a live
+// pass's or a replayed commit record's. On success the sources are
+// replaced by seg (nil when every row was dead) and the dropped rows'
+// tombstones are garbage-collected: those rows exist nowhere anymore, and
+// ids are never reused. A failed build records the error and leaves the
+// sources in place, still searchable, but excluded from future plans:
+// re-planning would select the same deterministic failure forever and
+// hang Flush/Close in waitCompactions. Callers hold s.mu.
+func (s *shard) commitCompactionLocked(sources []*sealedSegment, seg *sealedSegment, dropped []int64, err error) {
+	if err != nil {
+		s.failLocked(err)
+		for _, src := range sources {
+			src.noCompact = true
+		}
+		return
+	}
+	s.removeSealedLocked(sources)
+	if seg != nil {
+		s.insertSealedLocked(seg)
+	}
+	for _, id := range dropped {
+		delete(s.tombstones, id)
+	}
+	s.compactedSegments += int64(len(sources))
+	s.reclaimedRows += int64(len(dropped))
 }
 
 // maybeCompactLocked starts a background compaction pass when a trigger
@@ -172,8 +196,6 @@ func (s *shard) compactPass() {
 			s.mu.Unlock()
 			return
 		}
-		cfg := *s.config()
-		metric, dim := s.metric, s.dim
 		inputs := make([]compactInput, len(plan))
 		seqs := make([]int64, len(plan))
 		for i, t := range plan {
@@ -185,27 +207,14 @@ func (s *shard) compactPass() {
 
 		segs := make([]*sealedSegment, len(plan))
 		errs := make([]error, len(plan))
-		parallel.Parallel(cfg.compactionParallelism(), len(plan), func(i int) {
-			segs[i], errs[i] = buildCompacted(cfg, metric, dim, inputs[i], seqs[i])
+		parallel.Parallel(s.config().compactionParallelism(), len(plan), func(i int) {
+			segs[i], errs[i] = s.buildCompacted(inputs[i], seqs[i])
 		})
 
 		s.mu.Lock()
 		committed := false
 		for i, t := range plan {
-			if errs[i] != nil {
-				err := errs[i]
-				s.buildErrOnce.Do(func() { s.buildErr = err })
-				// Sources stay in place, still searchable, but are
-				// excluded from future plans: re-planning would select
-				// the same deterministic failure forever and hang
-				// Flush/Close in waitCompactions.
-				for _, seg := range t.sources {
-					seg.noCompact = true
-				}
-				continue
-			}
-			committed = true
-			if s.wal != nil {
+			if errs[i] == nil && s.wal != nil {
 				// Log the commit at its position in the operation order:
 				// sources, the replacement's seq (deriving its build
 				// seed), the surviving ids, and the physically dropped
@@ -215,27 +224,11 @@ func (s *shard) compactPass() {
 					srcSeqs[j] = seg.seq
 				}
 				if _, err := s.wal.AppendCompactCommit(seqs[i], srcSeqs, inputs[i].ids, inputs[i].dropped); err != nil {
-					err := fmt.Errorf("vdms: logging compaction commit: %w", err)
-					s.buildErrOnce.Do(func() { s.buildErr = err })
+					s.failLocked(fmt.Errorf("vdms: logging compaction commit: %w", err))
 				}
 			}
-			s.removeSealedLocked(t.sources)
-			if ns := segs[i]; ns != nil {
-				// Deletes may have landed on rows gathered as live.
-				for _, id := range ns.ids {
-					if _, dead := s.tombstones[id]; dead {
-						ns.dead++
-					}
-				}
-				s.insertSealedLocked(ns)
-			}
-			// The dropped rows exist nowhere anymore (ids are never
-			// reused): their tombstones are garbage.
-			for _, id := range inputs[i].dropped {
-				delete(s.tombstones, id)
-			}
-			s.compactedSegments += int64(len(t.sources))
-			s.reclaimedRows += int64(len(inputs[i].dropped))
+			committed = committed || errs[i] == nil
+			s.commitCompactionLocked(t.sources, segs[i], inputs[i].dropped, errs[i])
 		}
 		s.compactionPasses++
 		autoCkpt := !s.noAutoCkpt
@@ -260,8 +253,9 @@ func (s *shard) compactPass() {
 				// Surface the durability failure the way append failures
 				// are: silently dropping it would let a crash rewind the
 				// compaction with no diagnostic.
-				err := fmt.Errorf("vdms: committing compaction log records: %w", err)
-				s.buildErrOnce.Do(func() { s.buildErr = err })
+				s.mu.Lock()
+				s.failLocked(fmt.Errorf("vdms: committing compaction log records: %w", err))
+				s.mu.Unlock()
 			}
 			if autoCkpt {
 				// Checkpoint after every committed pass: the snapshot

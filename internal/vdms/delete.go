@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 )
 
 // Deletion support for live collections. Milvus implements deletes as
@@ -30,61 +29,40 @@ func (c *Collection) Delete(ids []int64) (int, error) {
 	}
 	c.router.RLock()
 	defer c.router.RUnlock()
-	// During a migration each shard reports which ids it actually deleted
-	// (not which were requested): replaying a requested-but-not-applied
-	// delete could kill a row that a concurrent insert creates under that
-	// id later in the migration window.
-	var captured []*[]int64
-	capture := func() *[]int64 {
-		if c.delta == nil {
-			return nil
+	return c.deleteFrom(c.shards, ids, c.delta)
+}
+
+// deleteFrom applies one batch of deletions to a shard set and returns how
+// many ids were newly deleted. Like insertInto, every touched shard is
+// applied and the first error in visit order returned. When d is non-nil
+// (a migration is recording) each shard reports which ids it actually
+// deleted, not which were requested: replaying a requested-but-not-applied
+// delete could kill a row that a concurrent insert creates under that id
+// later in the migration window.
+func (c *Collection) deleteFrom(shards []*shard, ids []int64, d *migrationDelta) (int, error) {
+	p := c.partition(ids, nil, len(shards))
+	defer c.putPartition(p)
+	added := make([]int, len(p.touched))
+	var captured [][]int64
+	if d != nil {
+		captured = make([][]int64, len(p.touched))
+	}
+	c.dispatch(p.touched, func(i int) {
+		var cp *[]int64
+		if captured != nil {
+			cp = &captured[i]
 		}
-		p := new([]int64)
-		captured = append(captured, p)
-		return p
-	}
-	defer func() {
-		for _, p := range captured {
-			c.delta.addDeletes(*p)
-		}
-	}()
-	if len(c.shards) == 1 {
-		return c.shards[0].delete(ids, capture())
-	}
-	parts := make([][]int64, len(c.shards))
-	for _, id := range ids {
-		si := c.shardFor(id)
-		parts[si] = append(parts[si], id)
-	}
-	touched := make([]int, 0, len(c.shards))
-	for si, part := range parts {
-		if len(part) > 0 {
-			touched = append(touched, si)
-		}
-	}
-	// Like Insert, durable deletes dispatch in parallel so the per-shard
-	// WAL commits overlap their fsyncs; memory-only deletes stay inline.
-	counts := make([]int, len(touched))
-	errs := make([]error, len(touched))
-	caps := make([]*[]int64, len(touched))
-	for i := range touched {
-		caps[i] = capture()
-	}
-	dispatch := func(i int) {
-		counts[i], errs[i] = c.shards[touched[i]].delete(parts[touched[i]], caps[i])
-	}
-	if c.dataDir != "" && len(touched) > 1 {
-		parallel.Parallel(len(touched), len(touched), dispatch)
-	} else {
-		for i := range touched {
-			dispatch(i)
-		}
-	}
+		si := p.touched[i]
+		added[i], p.errs[i] = shards[si].delete(p.ids[si], cp)
+	})
 	total := 0
-	for _, n := range counts {
+	for i, n := range added {
 		total += n
+		if d != nil {
+			d.addDeletes(captured[i])
+		}
 	}
-	return total, firstError(errs)
+	return total, firstError(p.errs)
 }
 
 // delete applies one routed batch of deletions to this shard: WAL-log,

@@ -23,14 +23,16 @@ import (
 // Routing and determinism:
 //
 //   - ids are assigned by one collection-wide atomic counter and routed to
-//     shardFor(id), a fixed hash — the same id lands on the same shard in
-//     every run and after every recovery;
+//     shardOf(id, n), a fixed hash — the same id lands on the same shard
+//     in every run and after every recovery; Insert, Delete and a
+//     migration's capture and delta replay all split their batches with
+//     the one pooled partition (scratch.go);
 //   - Search/SearchBatch scatter per-shard probes over the deterministic
 //     worker pool (a query × shard grid for batches) and merge the
 //     per-shard top-k lists in fixed shard order from a pooled result
 //     grid, so results are bit-identical for any worker count; with
-//     ShardCount=1 the router delegates straight to its single shard,
-//     which is bit-identical to the pre-sharding engine;
+//     ShardCount=1 the grid copies its single shard's results out
+//     unmerged, which is bit-identical to the pre-sharding engine;
 //   - each shard's parallel phases are themselves deterministic (see
 //     package parallel), so a fixed op sequence yields fixed results.
 //
@@ -86,11 +88,11 @@ type Collection struct {
 	// dataDir is the durable data directory ("" for memory-only).
 	dataDir string
 	// gatherPool recycles scatter-gather working sets (per-worker probe
-	// scratches, the query×shard result grid); insertPool the routed
-	// Insert's partition state. Both keep the steady-state hot paths
+	// scratches, the query×shard result grid); partitionPool the per-shard
+	// split of write batches. Both keep the steady-state hot paths
 	// allocation-free; see scratch.go.
-	gatherPool sync.Pool
-	insertPool sync.Pool
+	gatherPool    sync.Pool
+	partitionPool sync.Pool
 }
 
 // sealRowsFor derives the rows-per-segment seal threshold from the
@@ -152,12 +154,28 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// shardFor routes an id to its owning shard.
-func (c *Collection) shardFor(id int64) int {
-	if len(c.shards) == 1 {
+// shardOf routes an id to its owning shard among n.
+func shardOf(id int64, n int) int {
+	if n == 1 {
 		return 0
 	}
-	return int(splitmix64(uint64(id)) % uint64(len(c.shards)))
+	return int(splitmix64(uint64(id)) % uint64(n))
+}
+
+// dispatch runs fn(i) for every i in touched. Durable writes fan out in
+// parallel when they touch more than one shard: each shard's WAL commit
+// fsyncs a different file, so one acknowledgement costs one fsync of wall
+// time, not one per shard. Memory-only writes stay on the calling
+// goroutine — their per-shard work is a short arena update, not worth a
+// fan-out.
+func (c *Collection) dispatch(touched []int, fn func(i int)) {
+	if c.dataDir != "" && len(touched) > 1 {
+		parallel.Parallel(len(touched), len(touched), fn)
+		return
+	}
+	for i := range touched {
+		fn(i)
+	}
 }
 
 // firstError returns the first non-nil error of a per-shard dispatch, in
@@ -201,78 +219,27 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	}
 	c.router.RLock()
 	defer c.router.RUnlock()
-	if len(c.shards) == 1 {
-		if err := c.shards[0].insert(ids, vecs); err != nil {
-			return nil, err
-		}
-		c.recordInsertDelta(ids, vecs)
-		return ids, nil
-	}
-	// Partition the batch: per-shard id/vector sub-slices in batch order
-	// (ascending ids within each shard), carved out of pooled flat arenas
-	// — count, prefix-sum, then fill — so the routing hash runs once per
-	// row and the partition allocates nothing at steady state. Shards
-	// copy rows into their own arenas, so nothing here outlives the call.
-	is := c.getInsert(n, len(c.shards))
-	for i, id := range ids {
-		s := c.shardFor(id)
-		is.owner[i] = uint8(s)
-		is.counts[s]++
-	}
-	off := 0
-	for s, cnt := range is.counts {
-		is.offs[s] = off
-		is.cur[s] = off
-		off += cnt
-	}
-	for i, id := range ids {
-		s := is.owner[i]
-		is.idsBuf[is.cur[s]] = id
-		is.vecsBuf[is.cur[s]] = vecs[i]
-		is.cur[s]++
-	}
-	for s, cnt := range is.counts {
-		is.parts[s] = is.idsBuf[is.offs[s] : is.offs[s]+cnt]
-		is.partVecs[s] = is.vecsBuf[is.offs[s] : is.offs[s]+cnt]
-	}
-	start := 0
-	if n > 0 {
-		start = int(uint64(base) % uint64(len(c.shards)))
-	}
-	for o := 0; o < len(c.shards); o++ {
-		si := (start + o) % len(c.shards)
-		if len(is.parts[si]) > 0 {
-			is.touched = append(is.touched, si)
-		}
-	}
-	// Every touched shard is applied even if an earlier one fails — the
-	// faithful generalization of the single-lock engine's failure mode
-	// (rows applied in memory, the durability failure surfaced instead of
-	// an acknowledgement, no ids returned). On a durable collection the
-	// sub-batches dispatch in parallel: each shard's WAL commit fsyncs a
-	// different file, so one acknowledgement costs one fsync of wall
-	// time, not shard-count of them. Memory-only inserts stay on the
-	// calling goroutine — their per-shard work is a short arena copy, not
-	// worth a fan-out.
-	errs := is.errs[:len(is.touched)]
-	dispatch := func(i int) {
-		si := is.touched[i]
-		errs[i] = c.shards[si].insert(is.parts[si], is.partVecs[si])
-	}
-	if c.dataDir != "" && len(is.touched) > 1 {
-		parallel.Parallel(len(is.touched), len(is.touched), dispatch)
-	} else {
-		for i := range is.touched {
-			dispatch(i)
-		}
-	}
-	err := firstError(errs)
-	c.putInsert(is)
-	if err != nil {
+	if err := c.insertInto(c.shards, ids, vecs); err != nil {
 		return nil, err
 	}
 	c.recordInsertDelta(ids, vecs)
 	return ids, nil
+}
+
+// insertInto applies one batch of pre-assigned ids to a shard set. Every
+// touched shard is applied even if an earlier one fails — the faithful
+// generalization of the single-lock engine's failure mode (rows applied
+// in memory, the durability failure surfaced instead of an
+// acknowledgement); the first error in visit order is returned.
+func (c *Collection) insertInto(shards []*shard, ids []int64, vecs [][]float32) error {
+	p := c.partition(ids, vecs, len(shards))
+	c.dispatch(p.touched, func(i int) {
+		si := p.touched[i]
+		p.errs[i] = shards[si].insert(p.ids[si], p.vecs[si])
+	})
+	err := firstError(p.errs)
+	c.putPartition(p)
+	return err
 }
 
 // Flush seals every shard's growing segment (even if partial) and blocks
@@ -295,8 +262,7 @@ func (c *Collection) Flush() error {
 		}
 	}
 	for _, s := range c.shards {
-		s.builds.Wait()
-		s.waitCompactions()
+		s.quiesce()
 	}
 	for _, s := range c.shards {
 		if err := s.getBuildErr(); err != nil {
@@ -486,6 +452,18 @@ func (c *Collection) searchLocked(g *gatherScratch, qs [][]float32, k int, st *i
 	q, s := len(qs), len(c.shards)
 	if q == 0 {
 		return
+	}
+	// No query can return more than the live rows, so a larger k only
+	// sizes the grid and every probe's collectors to no effect: clamp it.
+	// Each shard's over-fetch (k + its tombstones) still covers every row
+	// it holds, so the results and work counters are those of the
+	// requested k.
+	var live int64
+	for _, sh := range c.shards {
+		live += sh.rows
+	}
+	if int64(k) > live {
+		k = int(max(live, 1))
 	}
 	w := c.readWorkers()
 	tile := c.queryTileSize(q, s, w)
@@ -698,29 +676,13 @@ func (c *Collection) SampleVectors(n int) [][]float32 {
 	}
 	out := make([][]float32, 0, n)
 	for _, s := range c.shards {
-		appendRows := func(store *linalg.Matrix, ids []int64) {
-			for i := range ids {
-				if len(out) >= n {
-					return
-				}
-				if _, dead := s.tombstones[ids[i]]; dead {
-					continue
-				}
-				out = append(out, linalg.Clone(store.Row(i)))
+		s.liveRowsLocked(func(_ int64, row []float32, _ bool) bool {
+			if len(out) >= n {
+				return false
 			}
-		}
-		for _, seg := range s.sealed {
-			appendRows(seg.store, seg.ids)
-		}
-		for _, seg := range s.sealing {
-			appendRows(seg.store, seg.ids)
-		}
-		if s.growingRowsLocked() > 0 {
-			appendRows(s.growing, s.growingIDs)
-		}
-		if len(out) >= n {
-			break
-		}
+			out = append(out, linalg.Clone(row))
+			return true
+		})
 	}
 	return out
 }

@@ -38,13 +38,16 @@ import (
 // against the opening configuration, then recovers every shard in
 // parallel over the engine's worker pool: newest valid snapshot, WAL
 // suffix replay, torn-tail truncation — shards never wait on each other.
-// It is deterministic: segment indexes are rebuilt from raw rows with the
-// same sequence-derived seeds the pre-crash engine used (see
-// newSegmentIndex), so a recovered collection answers Search and
-// SearchBatch bit-identically to the engine that crashed. One counter is
-// approximate across recovery: CompactionPasses counts pass boundaries,
-// which the WAL does not record (each pass's work is fully covered by its
-// per-task commit records and usually by the snapshot the pass wrote).
+// Replay repeats history through the live engine's own transitions
+// (insertRowLocked, deleteLocked, landLocked, commitCompactionLocked), so
+// no replay-only copy of a transition can drift from its original. It is
+// deterministic: segment indexes are rebuilt from raw rows with the same
+// sequence-derived seeds the pre-crash engine used (see newSegmentIndex),
+// so a recovered collection answers Search and SearchBatch bit-identically
+// to the engine that crashed. One counter is approximate across recovery:
+// CompactionPasses counts pass boundaries, which the WAL does not record
+// (each pass's work is fully covered by its per-task commit records and
+// usually by the snapshot the pass wrote).
 
 // OpenDurable opens (or creates) a durable collection backed by the data
 // directory dir. On a fresh directory it behaves like NewCollection plus
@@ -152,6 +155,18 @@ func (s *shard) openDurable(sdir string) error {
 	if err != nil {
 		return err
 	}
+	if err := s.openWAL(sdir, nextLSN); err != nil {
+		return err
+	}
+	s.ckptLSN = after
+	s.lastCkpt.Store(after)
+	return nil
+}
+
+// openWAL attaches a WAL in sdir whose next record takes nextLSN, at the
+// shard's configured durability knobs: after recovery's replay, or empty
+// (nextLSN 1) for a migrated shard.
+func (s *shard) openWAL(sdir string, nextLSN uint64) error {
 	cfg := s.config()
 	w, err := persist.OpenWAL(persist.Options{
 		Dir:         sdir,
@@ -163,8 +178,6 @@ func (s *shard) openDurable(sdir string) error {
 	}
 	s.wal = w
 	s.dataDir = sdir
-	s.ckptLSN = after
-	s.lastCkpt.Store(after)
 	return nil
 }
 
@@ -207,37 +220,38 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 	for i := range snap.Segments {
 		seg := &snap.Segments[i]
 		s.landSegment(seg.Store, seg.IDs, seg.Seq)
-		if seg.Seq >= s.sealSeq {
-			s.sealSeq = seg.Seq + 1
-		}
+		s.advanceSealSeq(seg.Seq)
 	}
 	return nil
 }
 
-// applyWALOp replays one WAL record onto the recovering shard. It runs
-// before the shard is shared, so no locking is involved; seals and
-// compaction rebuilds happen synchronously, in log order, which is
-// exactly the serialization order of this shard in the pre-crash engine.
+// applyWALOp replays one WAL record onto the recovering shard through the
+// transitions the live engine ran when it logged the record: the same row
+// append, delete, segment landing and compaction commit. It runs before
+// the shard is shared, so no locking is involved; seals and compaction
+// rebuilds happen synchronously, in log order, which is exactly the
+// serialization order of this shard in the pre-crash engine.
 func (s *shard) applyWALOp(op *persist.WALOp) error {
 	switch op.Type {
-	case persist.RecInsert:
+	case persist.RecInsert, persist.RecInsertIDs:
 		if op.Dim != s.dim {
 			return fmt.Errorf("vdms: WAL replay: insert record dimension %d, collection has %d", op.Dim, s.dim)
 		}
 		for i := 0; i < op.Count; i++ {
-			s.applyInsertRowLocked(op.FirstID+int64(i), op.Vectors[i*op.Dim:(i+1)*op.Dim])
-		}
-	case persist.RecInsertIDs:
-		if op.Dim != s.dim {
-			return fmt.Errorf("vdms: WAL replay: insert record dimension %d, collection has %d", op.Dim, s.dim)
-		}
-		for i, id := range op.IDs {
-			s.applyInsertRowLocked(id, op.Vectors[i*op.Dim:(i+1)*op.Dim])
+			id := op.FirstID + int64(i)
+			if op.Type == persist.RecInsertIDs {
+				id = op.IDs[i]
+			}
+			s.insertRowLocked(id, op.Vectors[i*op.Dim:(i+1)*op.Dim])
 		}
 	case persist.RecDelete:
 		s.deleteLocked(op.IDs, nil)
 	case persist.RecFlush:
-		s.replayFlush(op.Seq)
+		s.advanceSealSeq(op.Seq)
+		if s.growingRowsLocked() > 0 {
+			store, ids := s.takeGrowingLocked()
+			s.landSegment(store, ids, op.Seq)
+		}
 	case persist.RecCompactCommit:
 		return s.replayCompactCommit(op)
 	default:
@@ -246,62 +260,27 @@ func (s *shard) applyWALOp(op *persist.WALOp) error {
 	return nil
 }
 
-// landSegment builds the index for one recovered segment and installs it
-// as sealed. A deterministic build failure mirrors the live engine's
-// failed-seal path: the rows fall back into the growing tail (minus any
-// tombstoned ones, whose tombstones are then garbage) and the error is
-// recorded.
-func (s *shard) landSegment(store *linalg.Matrix, ids []int64, seq int64) {
-	idx, err := newSegmentIndex(*s.config(), indexMetric(s.metric), s.dim, seq)
-	if err == nil {
-		err = idx.Build(store, ids)
-	}
-	if err != nil {
-		s.buildErrOnce.Do(func() { s.buildErr = err })
-		for i, id := range ids {
-			if _, dead := s.tombstones[id]; dead {
-				delete(s.tombstones, id)
-				continue
-			}
-			if s.growing == nil {
-				s.growing = linalg.NewMatrix(s.dim, store.Rows())
-			}
-			s.growing.AppendRow(store.Row(i))
-			s.growingIDs = append(s.growingIDs, id)
-		}
-		return
-	}
-	ss := &sealedSegment{seq: seq, store: store, ids: ids, idx: idx}
-	for _, id := range ss.ids {
-		if _, dead := s.tombstones[id]; dead {
-			ss.dead++
-		}
-	}
-	s.insertSealedLocked(ss)
-}
-
-// replayFlush replays a RecFlush record: seal the growing tail as segment
-// seq and build its index synchronously.
-func (s *shard) replayFlush(seq int64) {
+// advanceSealSeq moves the seal counter past a recovered segment's seq.
+func (s *shard) advanceSealSeq(seq int64) {
 	if seq >= s.sealSeq {
 		s.sealSeq = seq + 1
 	}
-	if s.growingRowsLocked() == 0 {
-		return
-	}
-	index.SortRowsByID(s.growing, s.growingIDs)
-	store, ids := s.growing, s.growingIDs
-	s.growing, s.growingIDs = nil, nil
-	s.landSegment(store, ids, seq)
+}
+
+// landSegment builds and lands one recovered segment synchronously.
+func (s *shard) landSegment(store *linalg.Matrix, ids []int64, seq int64) {
+	idx, err := s.buildSegment(store, ids, seq)
+	s.landLocked(store, ids, seq, idx, err)
 }
 
 // replayCompactCommit replays one committed compaction task: rebuild the
-// replacement segment from the recorded surviving ids and drop the
-// sources, exactly as the pre-crash commit did.
+// replacement segment from the recorded surviving ids and commit it over
+// the sources, exactly as the pre-crash commit did. The surviving ids come
+// from the record, not from the current tombstones: deletes logged between
+// the live pass's gather and its commit must still reach the rebuilt
+// segment as dead rows.
 func (s *shard) replayCompactCommit(op *persist.WALOp) error {
-	if op.Seq >= s.sealSeq {
-		s.sealSeq = op.Seq + 1
-	}
+	s.advanceSealSeq(op.Seq)
 	var sources []*sealedSegment
 	for _, seq := range op.Sources {
 		var found *sealedSegment
@@ -333,29 +312,8 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 		return fmt.Errorf("vdms: WAL replay: compaction commit lists %d surviving ids, sources hold %d of them", len(op.LiveIDs), len(in.ids))
 	}
 	index.SortRowsByID(in.store, in.ids)
-	seg, err := buildCompacted(*s.config(), s.metric, s.dim, in, op.Seq)
-	if err != nil {
-		// Mirror the live engine: sources stay, excluded from future plans.
-		s.buildErrOnce.Do(func() { s.buildErr = err })
-		for _, src := range sources {
-			src.noCompact = true
-		}
-		return nil
-	}
-	s.removeSealedLocked(sources)
-	if seg != nil {
-		for _, id := range seg.ids {
-			if _, dead := s.tombstones[id]; dead {
-				seg.dead++
-			}
-		}
-		s.insertSealedLocked(seg)
-	}
-	for _, id := range op.Dropped {
-		delete(s.tombstones, id)
-	}
-	s.compactedSegments += int64(len(sources))
-	s.reclaimedRows += int64(len(op.Dropped))
+	seg, err := s.buildCompacted(in, op.Seq)
+	s.commitCompactionLocked(sources, seg, in.dropped, err)
 	return nil
 }
 

@@ -207,28 +207,14 @@ func (c *Collection) captureLocked() ([]int64, [][]float32) {
 	var rows [][]float32
 	for _, s := range c.shards {
 		s.mu.RLock()
-		collect := func(store *linalg.Matrix, segIDs []int64, copyRows bool) {
-			for i, id := range segIDs {
-				if _, dead := s.tombstones[id]; dead {
-					continue
-				}
-				r := store.Row(i)
-				if copyRows {
-					r = linalg.Clone(r)
-				}
-				ids = append(ids, id)
-				rows = append(rows, r)
+		s.liveRowsLocked(func(id int64, row []float32, growing bool) bool {
+			if growing {
+				row = linalg.Clone(row)
 			}
-		}
-		for _, seg := range s.sealed {
-			collect(seg.store, seg.ids, false)
-		}
-		for _, seg := range s.sealing {
-			collect(seg.store, seg.ids, false)
-		}
-		if s.growingRowsLocked() > 0 {
-			collect(s.growing, s.growingIDs, true)
-		}
+			ids = append(ids, id)
+			rows = append(rows, row)
+			return true
+		})
 		s.mu.RUnlock()
 	}
 	sort.Sort(&idRowSorter{ids: ids, rows: rows})
@@ -237,22 +223,15 @@ func (c *Collection) captureLocked() ([]int64, [][]float32) {
 
 // migrateRows feeds captured rows into a new shard in the order given.
 // The rows are canonical engine rows (already normalized for angular
-// metrics) and are appended raw — re-normalizing would perturb bits and
-// break the post-migration ≡ fresh-build contract. Seal thresholds fire
-// exactly as they would during live inserts of the same sequence.
+// metrics) and are appended raw by appendRowLocked — re-normalizing would
+// perturb bits and break the post-migration ≡ fresh-build contract. Seal
+// thresholds fire exactly as they would during live inserts of the same
+// sequence.
 func (s *shard) migrateRows(ids []int64, rows [][]float32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, v := range rows {
-		if s.growing == nil {
-			s.growing = linalg.NewMatrix(s.dim, s.sealRows)
-		}
-		s.growing.AppendRow(v)
-		s.growingIDs = append(s.growingIDs, ids[i])
-		s.rows++
-		if ids[i] >= s.nextID {
-			s.nextID = ids[i] + 1
-		}
+		s.appendRowLocked(ids[i], v)
 		if s.growing.Rows() >= s.sealRows {
 			s.sealLocked()
 		}
@@ -322,31 +301,21 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		newShards[i] = newShard(newGen, c.metric, c.dim, sealRows)
 		newShards[i].noAutoCkpt = noAutoCkpt
 	}
-	route := func(id int64) int {
-		if n == 1 {
-			return 0
-		}
-		return int(splitmix64(uint64(id)) % uint64(n))
-	}
-	partIDs := make([][]int64, n)
-	partRows := make([][][]float32, n)
-	for i, id := range capIDs {
-		si := route(id)
-		partIDs[si] = append(partIDs[si], id)
-		partRows[si] = append(partRows[si], capRows[i])
-	}
+	p := c.partition(capIDs, capRows, n)
 	parallel.Parallel(cfg.Parallelism, n, func(i int) {
-		newShards[i].migrateRows(partIDs[i], partRows[i])
+		newShards[i].migrateRows(p.ids[i], p.vecs[i])
 	})
+	c.putPartition(p)
 
-	// Wait out the index builds so a build failure aborts the migration
-	// here instead of surfacing as a mysterious post-cutover error.
+	// Wait out the index builds (and any compaction they trigger) so a
+	// build failure aborts the migration here instead of surfacing as a
+	// mysterious post-cutover error.
 	if err := c.step("sealed"); err != nil {
 		c.abortMigration(newShards)
 		return 0, err
 	}
 	for _, s := range newShards {
-		s.builds.Wait()
+		s.quiesce()
 	}
 	for _, s := range newShards {
 		if err := s.getBuildErr(); err != nil {
@@ -376,15 +345,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 			// captured state and the log that records everything after it.
 			s.mu.Lock()
 			snap := s.snapshotLocked()
-			w, err := persist.OpenWAL(persist.Options{
-				Dir:         sdir,
-				Policy:      cfg.walFsyncPolicy(),
-				GroupCommit: cfg.walGroupCommit(),
-			}, 1)
-			if err == nil {
-				s.wal = w
-				s.dataDir = sdir
-			}
+			err := s.openWAL(sdir, 1)
 			s.mu.Unlock()
 			if err == nil {
 				err = persist.WriteSnapshot(sdir, snap)
@@ -424,36 +385,12 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		return abortLocked(err)
 	}
 	for _, b := range delta.batches {
-		bp := make([][]int64, n)
-		bv := make([][][]float32, n)
-		for i, id := range b.ids {
-			si := route(id)
-			bp[si] = append(bp[si], id)
-			bv[si] = append(bv[si], b.vecs[i])
-		}
-		for si := range bp {
-			if len(bp[si]) == 0 {
-				continue
-			}
-			if err := newShards[si].insert(bp[si], bv[si]); err != nil {
-				return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
-			}
+		if err := c.insertInto(newShards, b.ids, b.vecs); err != nil {
+			return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 		}
 	}
-	if len(delta.deletes) > 0 {
-		dp := make([][]int64, n)
-		for _, id := range delta.deletes {
-			si := route(id)
-			dp[si] = append(dp[si], id)
-		}
-		for si := range dp {
-			if len(dp[si]) == 0 {
-				continue
-			}
-			if _, err := newShards[si].delete(dp[si], nil); err != nil {
-				return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
-			}
-		}
+	if _, err := c.deleteFrom(newShards, delta.deletes, nil); err != nil {
+		return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 	}
 
 	if durable {

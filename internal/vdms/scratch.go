@@ -137,69 +137,96 @@ func (c *Collection) putGather(g *gatherScratch) {
 	c.gatherPool.Put(g)
 }
 
-// insertScratch is the pooled partition state of a routed Insert: the
-// routing pass (owner, counts, cursors) and the per-shard sub-batch views
-// carved out of two flat arenas. Nothing here survives the call — shards
-// copy rows into their arenas and the WAL frames its own bytes — so the
-// buffers are safe to reuse; the vector pointers are cleared on put so a
-// pooled scratch does not pin the caller's last batch.
-type insertScratch struct {
-	owner    []uint8
-	counts   []int
-	offs     []int
-	cur      []int
-	idsBuf   []int64
-	vecsBuf  [][]float32
-	parts    [][]int64
-	partVecs [][][]float32
-	touched  []int
-	errs     []error
+// partition is the pooled split of one write batch across n shards: the
+// per-shard id (and, for inserts, vector) sub-slices in batch order —
+// ascending ids within each shard whenever the batch ascends — carved out
+// of two flat arenas (count, then fill), so the routing hash runs once per
+// row and a steady-state split allocates nothing. touched lists the shards
+// that received rows, in an order rotated by the batch's first id, which
+// staggers concurrent callers across the shard array instead of convoying
+// them all onto shard 0; errs[i] is touched[i]'s outcome. Nothing here
+// outlives the write — shards copy rows into their own arenas and the WAL
+// frames its own bytes — so the buffers are safe to reuse.
+type partition struct {
+	owner   []uint8
+	counts  []int
+	idsBuf  []int64
+	vecsBuf [][]float32
+	ids     [][]int64
+	vecs    [][][]float32
+	touched []int
+	errs    []error
 }
 
-// getInsert checks an insert scratch out of the pool, sized for an n-row
-// batch across s shards. counts come back zeroed; everything else is
-// length-set and overwritten by the partition passes.
-func (c *Collection) getInsert(n, s int) *insertScratch {
-	is, _ := c.insertPool.Get().(*insertScratch)
-	if is == nil {
-		is = &insertScratch{}
+// sized returns buf at length n, reallocating only to grow.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	if cap(is.owner) < n {
-		is.owner = make([]uint8, n)
-		is.idsBuf = make([]int64, n)
-		is.vecsBuf = make([][]float32, n)
-	}
-	is.owner = is.owner[:n]
-	is.idsBuf = is.idsBuf[:n]
-	is.vecsBuf = is.vecsBuf[:n]
-	if cap(is.counts) < s {
-		is.counts = make([]int, s)
-		is.offs = make([]int, s)
-		is.cur = make([]int, s)
-		is.parts = make([][]int64, s)
-		is.partVecs = make([][][]float32, s)
-		is.touched = make([]int, 0, s)
-		is.errs = make([]error, s)
-	}
-	is.counts = is.counts[:s]
-	for i := range is.counts {
-		is.counts[i] = 0
-	}
-	is.offs = is.offs[:s]
-	is.cur = is.cur[:s]
-	is.parts = is.parts[:s]
-	is.partVecs = is.partVecs[:s]
-	is.touched = is.touched[:0]
-	is.errs = is.errs[:s]
-	return is
+	return buf[:n]
 }
 
-func (c *Collection) putInsert(is *insertScratch) {
-	for i := range is.vecsBuf {
-		is.vecsBuf[i] = nil
+// partition splits ids (and vecs, when non-nil, aligned with ids) across n
+// shards by shardOf. The result is pooled: hand it back with
+// putPartition.
+func (c *Collection) partition(ids []int64, vecs [][]float32, n int) *partition {
+	p, _ := c.partitionPool.Get().(*partition)
+	if p == nil {
+		p = &partition{}
 	}
-	for i := range is.errs {
-		is.errs[i] = nil
+	p.ids, p.vecs = sized(p.ids, n), sized(p.vecs, n)
+	if n == 1 {
+		// One shard owns the whole batch: no routing, no copy.
+		p.ids[0], p.vecs[0] = ids, vecs
+	} else {
+		p.owner, p.counts = sized(p.owner, len(ids)), sized(p.counts, n)
+		clear(p.counts)
+		for i, id := range ids {
+			si := shardOf(id, n)
+			p.owner[i] = uint8(si)
+			p.counts[si]++
+		}
+		p.idsBuf = sized(p.idsBuf, len(ids))
+		if vecs != nil {
+			p.vecsBuf = sized(p.vecsBuf, len(ids))
+		}
+		off := 0
+		for si, cnt := range p.counts {
+			p.ids[si] = p.idsBuf[off : off : off+cnt]
+			p.vecs[si] = nil
+			if vecs != nil {
+				p.vecs[si] = p.vecsBuf[off : off : off+cnt]
+			}
+			off += cnt
+		}
+		for i, id := range ids {
+			si := p.owner[i]
+			p.ids[si] = append(p.ids[si], id)
+			if vecs != nil {
+				p.vecs[si] = append(p.vecs[si], vecs[i])
+			}
+		}
 	}
-	c.insertPool.Put(is)
+	p.touched = p.touched[:0]
+	start := 0
+	if len(ids) > 0 {
+		start = int(uint64(ids[0]) % uint64(n))
+	}
+	for o := 0; o < n; o++ {
+		if si := (start + o) % n; len(p.ids[si]) > 0 {
+			p.touched = append(p.touched, si)
+		}
+	}
+	p.errs = sized(p.errs, len(p.touched))
+	return p
+}
+
+// putPartition returns p to the pool, clearing every slot that could pin
+// the caller's batch.
+func (c *Collection) putPartition(p *partition) {
+	clear(p.ids)
+	clear(p.vecs)
+	clear(p.vecsBuf)
+	clear(p.errs)
+	c.partitionPool.Put(p)
 }

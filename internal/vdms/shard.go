@@ -90,9 +90,8 @@ type shard struct {
 	noAutoCkpt bool
 
 	builds sync.WaitGroup
-	// buildErr records the first background build failure.
-	buildErrOnce sync.Once
-	buildErr     error
+	// buildErr records the first background failure (see failLocked).
+	buildErr error
 }
 
 type sealingSegment struct {
@@ -174,7 +173,7 @@ func (s *shard) insert(ids []int64, vecs [][]float32) error {
 		runStart = end
 	}
 	for i, v := range vecs {
-		s.applyInsertRowLocked(ids[i], v)
+		s.insertRowLocked(ids[i], v)
 		if s.growing.Rows() >= s.sealRows {
 			logRun(i + 1) // the sealing rows must precede the seal record
 			s.sealLocked()
@@ -199,21 +198,31 @@ func (s *shard) insert(ids []int64, vecs [][]float32) error {
 	return nil
 }
 
-// applyInsertRowLocked lands one (id, vector) pair in the growing arena:
-// the shared core of insert and WAL replay. Angular inputs are normalized
-// in place on their arena row (no temporary copy). Callers hold s.mu.
-func (s *shard) applyInsertRowLocked(id int64, v []float32) {
+// appendRowLocked appends one (id, vector) pair to the growing arena as
+// given and returns the arena row: the raw append under every path that
+// creates a row. Client rows (insert and its WAL replay) are normalized on
+// that row by insertRowLocked; migrated rows are already canonical and
+// stay as they are. Callers hold s.mu.
+func (s *shard) appendRowLocked(id int64, v []float32) []float32 {
 	if s.growing == nil {
 		s.growing = linalg.NewMatrix(s.dim, s.sealRows)
 	}
 	s.growing.AppendRow(v)
-	if s.metric == linalg.Angular {
-		linalg.Normalize(s.growing.Row(s.growing.Rows() - 1))
-	}
 	s.growingIDs = append(s.growingIDs, id)
 	s.rows++
 	if id >= s.nextID {
 		s.nextID = id + 1
+	}
+	return s.growing.Row(s.growing.Rows() - 1)
+}
+
+// insertRowLocked appends one client row, normalizing angular inputs in
+// place on their arena row (no temporary copy): the shared core of insert
+// and WAL replay. Callers hold s.mu.
+func (s *shard) insertRowLocked(id int64, v []float32) {
+	row := s.appendRowLocked(id, v)
+	if s.metric == linalg.Angular {
+		linalg.Normalize(row)
 	}
 }
 
@@ -229,11 +238,6 @@ func (s *shard) growingRowsLocked() int {
 // sealLocked moves the growing segment into the sealing state and starts
 // its background index build. Callers hold s.mu.
 func (s *shard) sealLocked() {
-	// Canonical row order: growing rows are normally already ascending by
-	// id, but rows requeued by a failed build (or landed by interleaved
-	// concurrent batches) may not be; sorting here keeps the
-	// sealed-segment invariant (ids ascending) unconditionally.
-	index.SortRowsByID(s.growing, s.growingIDs)
 	seq := s.sealSeq
 	s.sealSeq++
 	if s.wal != nil {
@@ -241,64 +245,97 @@ func (s *shard) sealLocked() {
 		// failure cannot abort the seal (callers are mid-insert), so it is
 		// surfaced the way background build failures are.
 		if _, err := s.wal.AppendFlush(seq); err != nil {
-			err := fmt.Errorf("vdms: logging seal: %w", err)
-			s.buildErrOnce.Do(func() { s.buildErr = err })
+			s.failLocked(fmt.Errorf("vdms: logging seal: %w", err))
 		}
 	}
-	seg := &sealingSegment{seq: seq, store: s.growing, ids: s.growingIDs}
-	s.growing = nil
-	s.growingIDs = nil
+	store, ids := s.takeGrowingLocked()
+	seg := &sealingSegment{seq: seq, store: store, ids: ids}
 	s.sealing = append(s.sealing, seg)
 
 	s.builds.Add(1)
 	go func() {
 		defer s.builds.Done()
-		idx, err := newSegmentIndex(*s.config(), indexMetric(s.metric), s.dim, seq)
-		if err == nil {
-			err = idx.Build(seg.store, seg.ids)
-		}
+		idx, err := s.buildSegment(store, ids, seq)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		// Remove seg from the sealing list regardless of outcome.
 		for i, sl := range s.sealing {
 			if sl == seg {
 				s.sealing = append(s.sealing[:i], s.sealing[i+1:]...)
 				break
 			}
 		}
-		if err != nil {
-			s.buildErrOnce.Do(func() { s.buildErr = err })
-			// Keep the data searchable: put the rows back into growing.
-			// Rows tombstoned while the build was in flight are dropped
-			// here (growing data is mutable), and their tombstones are
-			// no longer needed.
-			for i, id := range seg.ids {
-				if _, dead := s.tombstones[id]; dead {
-					delete(s.tombstones, id)
-					continue
-				}
-				if s.growing == nil {
-					s.growing = linalg.NewMatrix(s.dim, seg.store.Rows())
-				}
-				s.growing.AppendRow(seg.store.Row(i))
-				s.growingIDs = append(s.growingIDs, id)
-			}
-			return
-		}
-		ss := &sealedSegment{seq: seq, store: seg.store, ids: seg.ids, idx: idx}
-		// Deletes may have landed while the build was in flight.
-		for _, id := range ss.ids {
-			if _, dead := s.tombstones[id]; dead {
-				ss.dead++
-			}
-		}
-		s.insertSealedLocked(ss)
+		s.landLocked(store, ids, seq, idx, err)
 		s.maybeCompactLocked()
 	}()
 }
 
-// insertSealedLocked places seg into s.sealed keeping seq order.
+// takeGrowingLocked detaches the growing segment for sealing, in canonical
+// row order: growing rows are normally already ascending by id, but rows
+// requeued by a failed build (or landed by interleaved concurrent batches)
+// may not be; sorting here keeps the segment invariant (ids ascending)
+// unconditionally. Callers hold s.mu.
+func (s *shard) takeGrowingLocked() (*linalg.Matrix, []int64) {
+	store, ids := s.growing, s.growingIDs
+	index.SortRowsByID(store, ids)
+	s.growing, s.growingIDs = nil, nil
+	return store, ids
+}
+
+// buildSegment builds segment seq's index over its rows, seeded from seq
+// (see newSegmentIndex) so every path that builds the same segment — a
+// live seal, a compaction, recovery — builds the identical index. It
+// reads only immutable state and runs outside s.mu.
+func (s *shard) buildSegment(store *linalg.Matrix, ids []int64, seq int64) (index.Index, error) {
+	idx, err := newSegmentIndex(*s.config(), indexMetric(s.metric), s.dim, seq)
+	if err == nil {
+		err = idx.Build(store, ids)
+	}
+	return idx, err
+}
+
+// landLocked lands one built segment — the outcome of a live seal, a
+// snapshot segment, or a replayed seal. On success the segment is
+// installed as sealed. A failed build records the error and keeps the data
+// searchable by putting the rows back into growing; rows tombstoned while
+// the build was in flight are dropped there (growing data is mutable), and
+// their tombstones are no longer needed. Callers hold s.mu.
+func (s *shard) landLocked(store *linalg.Matrix, ids []int64, seq int64, idx index.Index, err error) {
+	if err == nil {
+		s.insertSealedLocked(&sealedSegment{seq: seq, store: store, ids: ids, idx: idx})
+		return
+	}
+	s.failLocked(err)
+	for i, id := range ids {
+		if _, dead := s.tombstones[id]; dead {
+			delete(s.tombstones, id)
+			continue
+		}
+		if s.growing == nil {
+			s.growing = linalg.NewMatrix(s.dim, store.Rows())
+		}
+		s.growing.AppendRow(store.Row(i))
+		s.growingIDs = append(s.growingIDs, id)
+	}
+}
+
+// failLocked records a background failure; the first one sticks and is
+// what Flush, Compact and Close report. Callers hold s.mu (or own the
+// shard outright, as recovery does).
+func (s *shard) failLocked(err error) {
+	if s.buildErr == nil {
+		s.buildErr = err
+	}
+}
+
+// insertSealedLocked places a newly built segment into s.sealed keeping
+// seq order, counting its rows that are already tombstoned: deletes may
+// have landed while its index was being built.
 func (s *shard) insertSealedLocked(seg *sealedSegment) {
+	for _, id := range seg.ids {
+		if _, dead := s.tombstones[id]; dead {
+			seg.dead++
+		}
+	}
 	i := sort.Search(len(s.sealed), func(j int) bool { return s.sealed[j].seq > seg.seq })
 	s.sealed = append(s.sealed, nil)
 	copy(s.sealed[i+1:], s.sealed[i:])
@@ -334,6 +371,33 @@ func (s *shard) locateLocked(id int64) (*sealedSegment, bool) {
 		}
 	}
 	return nil, false
+}
+
+// liveRowsLocked calls fn with every live (not tombstoned) row of the
+// shard in segment order — sealed by seq, then sealing, then growing —
+// until fn returns false. growing marks rows of the mutable growing arena,
+// which a caller that keeps them must copy. Callers hold s.mu (read side
+// suffices).
+func (s *shard) liveRowsLocked(fn func(id int64, row []float32, growing bool) bool) {
+	visit := func(store *linalg.Matrix, ids []int64, growing bool) bool {
+		for i, id := range ids {
+			if _, dead := s.tombstones[id]; !dead && !fn(id, store.Row(i), growing) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, seg := range s.sealed {
+		if !visit(seg.store, seg.ids, false) {
+			return
+		}
+	}
+	for _, seg := range s.sealing {
+		if !visit(seg.store, seg.ids, false) {
+			return
+		}
+	}
+	visit(s.growing, s.growingIDs, true)
 }
 
 // sealPartial seals a non-empty growing segment (Flush's first phase).
@@ -455,14 +519,20 @@ func (s *shard) markClosed() (already bool) {
 	return already
 }
 
+// quiesce waits out this shard's in-flight index builds and compaction
+// passes.
+func (s *shard) quiesce() {
+	s.builds.Wait()
+	s.waitCompactions()
+}
+
 // close shuts this shard down: mark closed, wait out builds and
 // compactions, and (when durable and not already closed) take a final
 // checkpoint — WAL sync, full snapshot, log truncation — so a graceful
 // shutdown is lossless under every fsync policy, growing tail included.
 func (s *shard) close() error {
 	already := s.markClosed()
-	s.builds.Wait()
-	s.waitCompactions()
+	s.quiesce()
 	var persistErr error
 	if s.wal != nil && !already {
 		persistErr = s.checkpoint()
@@ -481,8 +551,7 @@ func (s *shard) close() error {
 // still buffered in user space are discarded.
 func (s *shard) crash() {
 	s.markClosed()
-	s.builds.Wait()
-	s.waitCompactions()
+	s.quiesce()
 	if s.wal != nil {
 		s.wal.Crash()
 	}
